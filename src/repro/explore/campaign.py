@@ -36,7 +36,6 @@ import json
 import multiprocessing
 import os
 import time
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -392,16 +391,6 @@ class CampaignRun:
         if self.wall_seconds <= 0:
             return 0.0
         return len(self.outcomes) / self.wall_seconds
-
-    @property
-    def scenarios_per_second(self) -> float:
-        """Deprecated alias of :attr:`rows_per_second` (the quantity was
-        always rows per second; the old name miscounted)."""
-        warnings.warn(
-            "CampaignRun.scenarios_per_second is deprecated; it always "
-            "computed rows per second — use rows_per_second",
-            DeprecationWarning, stacklevel=2)
-        return self.rows_per_second
 
     # -- artifacts ---------------------------------------------------------
     def write_csv(self, path, deterministic: bool = False) -> None:

@@ -26,9 +26,8 @@ gap by hand.  This module is the missing control plane, ROADMAP item 1:
   payloads* (:func:`~repro.explore.store.encode_shard_block`), so a
   completed span streams from worker to :class:`~repro.explore.store.
   ColumnarStore` without ever round-tripping through per-row dicts or
-  JSON.  The v1 JSONL protocol (one request per connection,
-  :class:`CoordinatorClient`) stays served by the same port — the server
-  sniffs the first byte of each connection — so old workers keep working.
+  JSON.  It is the only transport: a connection that does not open with
+  the ``RXP2`` preamble gets one structured error frame and is closed.
   The worker side lives in :mod:`repro.explore.worker`.
 
 Determinism and fault injection: the coordinator takes its wall clock as a
@@ -108,9 +107,7 @@ COORDINATOR_SCHEMA_VERSION = 3
 #: Default seconds a lease may go without a heartbeat before it is stolen.
 DEFAULT_LEASE_TIMEOUT = 60.0
 
-#: Preamble a protocol-v2 client sends once per connection; the server
-#: sniffs the first byte to tell a framed session (``R``) from a legacy
-#: JSONL request (``{``) on the same port.
+#: Preamble a client sends once per connection, before its first frame.
 PROTOCOL_MAGIC = b"RXP2"
 
 #: Frame header: big-endian u32 payload length + u8 frame kind.
@@ -121,9 +118,9 @@ FRAME_HEADER = struct.Struct(">IB")
 FRAME_KIND_JSON = 0x4A
 FRAME_KIND_BLOCK = 0x43
 
-#: Upper bound on a single frame (and on a v1 request line).  Far above any
-#: legitimate op — a shard block of a million-row span is a few tens of MB —
-#: while bounding what a misbehaving client can make the server buffer.
+#: Upper bound on a single frame.  Far above any legitimate op — a shard
+#: block of a million-row span is a few tens of MB — while bounding what a
+#: misbehaving client can make the server buffer.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 
@@ -548,76 +545,63 @@ class Coordinator:
                    key=lambda state: (state.in_flight / state.span_count,
                                       state.sequence))
 
-    def request_lease(self, worker: str
-                      ) -> Optional[Tuple[SpanLease, CampaignShard]]:
-        """Grant the next span to *worker*, or None when nothing is pending.
-
-        The returned shard document is self-contained (it carries its job
-        list), so the worker needs no grid flags — exactly the file a
-        ``campaign --shard I/N`` host would have been shipped.
-        """
-        self.tick()
-        now = self._now()
-        self._workers[worker] = now
-        if self._draining:
-            return None
-        state = self._pick_campaign()
-        if state is None:
-            return None
-        index = heapq.heappop(state.pending)
-        lease = SpanLease(
-            lease_id=next(self._lease_sequence),
-            campaign_id=state.campaign_id, shard_index=index, worker=worker,
-            granted_at=now, deadline=now + self._lease_timeout)
-        state.leases[index] = lease
-        self._leases[lease.lease_id] = lease
-        self._m_granted.inc()
-        self._refresh_gauges()
-        self._emit("lease", campaign=state.campaign_id, span=index,
-                   lease=lease.lease_id, worker=worker)
-        return lease, state.shards[index]
-
     def request_leases(self, worker: str, count: int = 1
                        ) -> List[Tuple[SpanLease, CampaignShard]]:
-        """Grant up to *count* spans in one call (the ``--prefetch`` batch).
+        """Grant up to *count* spans to *worker* (``--prefetch``; a single
+        lease is ``count=1``), in fair-share order.
 
-        Stops early when the queue runs dry or the coordinator drains; the
-        grants follow the same fair-share order as *count* single requests.
+        Stops early when the queue runs dry or the coordinator drains, so
+        the list may be empty.  Each shard document is self-contained (it
+        carries its job list), so the worker needs no grid flags — exactly
+        the file a ``campaign --shard I/N`` host would have been shipped.
         """
         if count < 1:
             raise CoordinatorError("lease count must be >= 1")
+        self.tick()
+        now = self._now()
+        self._workers[worker] = now
         granted: List[Tuple[SpanLease, CampaignShard]] = []
-        for _ in range(count):
-            one = self.request_lease(worker)
-            if one is None:
+        while len(granted) < count and not self._draining:
+            state = self._pick_campaign()
+            if state is None:
                 break
-            granted.append(one)
+            index = heapq.heappop(state.pending)
+            lease = SpanLease(
+                lease_id=next(self._lease_sequence),
+                campaign_id=state.campaign_id, shard_index=index,
+                worker=worker, granted_at=now,
+                deadline=now + self._lease_timeout)
+            state.leases[index] = lease
+            self._leases[lease.lease_id] = lease
+            self._m_granted.inc()
+            self._emit("lease", campaign=state.campaign_id, span=index,
+                       lease=lease.lease_id, worker=worker)
+            granted.append((lease, state.shards[index]))
+        if granted:
+            self._refresh_gauges()
         return granted
 
-    def heartbeat(self, lease_id: int) -> bool:
-        """Extend a lease's deadline; False when the lease is no longer
-        live (stolen or its span already completed) — the worker's cue to
-        abandon cooperatively."""
-        self.tick()
-        self._m_heartbeats.inc()
-        lease = self._leases.get(lease_id)
-        if lease is None:
-            raise CoordinatorError(f"unknown lease id {lease_id}")
-        state = self._campaigns[lease.campaign_id]
-        if state.leases.get(lease.shard_index) is not lease:
-            return False
-        now = self._now()
-        lease.deadline = now + self._lease_timeout
-        self._workers[lease.worker] = now
-        return True
+    def lease_response(self, worker: str, count: int = 1
+                       ) -> Dict[str, object]:
+        """:meth:`request_leases` as the ``lease`` op's response document:
+        ``shutdown`` once draining leaves nothing to grant."""
+        granted = self.request_leases(worker, count)
+        if not granted and self._draining:
+            return {"ok": True, "shutdown": True}
+        return {"ok": True,
+                "heartbeat_seconds": self._lease_timeout / 3.0,
+                "leases": [{"lease": lease.as_document(),
+                            "shard": shard.as_document()}
+                           for lease, shard in granted]}
 
     def heartbeat_many(self, lease_ids: Sequence[int]) -> Dict[int, bool]:
-        """Batched heartbeat: every held lease extended from one frame.
+        """Extend the deadline of every listed lease.
 
-        Unlike :meth:`heartbeat`, an unknown lease id maps to ``False``
-        instead of raising — in a coalesced batch one stale id (a span
-        completed between frames) must not poison the extension of the
-        others.
+        Maps each id to False when that lease is no longer live (stolen,
+        its span already completed, or unknown) — the worker's cue to
+        abandon the span cooperatively.  An unknown id does not raise: in
+        a coalesced batch one stale id (a span completed between frames)
+        must not poison the extension of the others.
         """
         self.tick()
         now = self._now()
@@ -855,30 +839,20 @@ class Coordinator:
 
 # -- wire protocol -----------------------------------------------------------
 #
-# Two protocols share the port; the server sniffs the first byte of every
-# connection.
+# A connection opens with the 4-byte preamble b"RXP2", then carries
+# length-prefixed frames (u32 payload length + u8 kind) in both directions
+# over one persistent socket — lease, heartbeat and complete ops for a
+# worker's whole lifetime are pipelined on a single connection.  Frame
+# kinds: 0x4A = JSON op payload, 0x43 = completion (u32 meta length + meta
+# JSON + binary columnar shard block).  Responses are always JSON frames.
 #
-# v1 (legacy, CoordinatorClient): first byte "{" — one JSON object per
-# line, one request/response pair per connection.
+# Ops (the worker-plane ops are batches; one lease is count = 1):
 #
-# v2 (CoordinatorSession): the connection opens with the 4-byte preamble
-# b"RXP2", then carries length-prefixed frames (u32 payload length + u8
-# kind) in both directions over one persistent socket — lease, heartbeat
-# and complete ops for a worker's whole lifetime are pipelined on a single
-# connection.  Frame kinds: 0x4A = JSON op payload, 0x43 = completion
-# (u32 meta length + meta JSON + binary columnar shard block).  Responses
-# are always JSON frames.
-#
-# Ops (both protocols; batched forms are v2 idioms but protocol-agnostic):
-#
-#   {"op": "lease", "worker": W}       -> {"ok": true, "lease": .., "shard": ..}
-#                                       | {"ok": true, "idle": true}
-#                                       | {"ok": true, "shutdown": true}
 #   {"op": "lease", "worker": W,
-#    "count": N}                       -> {"ok": true, "leases": [{lease,
-#                                          shard}, ..]} (possibly empty)
+#    "count": N (default 1)}           -> {"ok": true, "heartbeat_seconds": s,
+#                                          "leases": [{lease, shard}, ..]}
+#                                          (possibly empty)
 #                                       | {"ok": true, "shutdown": true}
-#   {"op": "heartbeat", "lease_id": L} -> {"ok": true, "live": bool}
 #   {"op": "heartbeat", "lease_ids":
 #    [..], "worker": W, "rtt": {..}}   -> {"ok": true, "live": {id: bool}}
 #   {"op": "complete", "lease_id": L,
@@ -893,12 +867,13 @@ class Coordinator:
 #   {"op": "shutdown"}                 -> {"ok": true}   (server then stops)
 #
 # Failures answer {"ok": false, "error": msg} and the client raises
-# CoordinatorError.  Malformed or oversized frames/lines are answered with
-# the same structured error (never silently dropped) and counted in
-# coordinator_protocol_errors_total; only a frame whose *framing* is lost
-# (truncation, oversized length prefix) also closes the connection, since
-# the stream cannot be resynchronized.  All coordinator state changes
-# happen under one server-side lock, frame by frame.
+# CoordinatorError.  A bad preamble and malformed or oversized frames are
+# answered with the same structured error (never silently dropped) and
+# counted in coordinator_protocol_errors_total; a bad preamble or a frame
+# whose *framing* is lost (truncation, oversized length prefix) also closes
+# the connection, since the stream cannot be resynchronized.  All
+# coordinator state changes happen under one server-side lock, frame by
+# frame.
 
 class _CoordinatorHandler(socketserver.StreamRequestHandler):
     # Framed request/response round trips on a persistent socket stall for
@@ -907,74 +882,43 @@ class _CoordinatorHandler(socketserver.StreamRequestHandler):
     disable_nagle_algorithm = True
 
     def handle(self) -> None:
-        first = self.rfile.read(1)
-        if not first:
+        preamble = self.rfile.read(len(PROTOCOL_MAGIC))
+        if not preamble:
             return
-        if first == PROTOCOL_MAGIC[:1]:
-            rest = self.rfile.read(len(PROTOCOL_MAGIC) - 1)
-            if rest != PROTOCOL_MAGIC[1:]:
-                self._answer_line(self._protocol_error(
-                    f"unrecognized protocol preamble {(first + rest)!r}"))
-                return
-            self._handle_session()
-        elif first == b"{":
-            self._handle_v1(first)
-        else:
-            self._answer_line(self._protocol_error(
-                f"unrecognized protocol preamble {first!r}"))
-
-    # -- v1: one JSONL request per connection ------------------------------
-    def _handle_v1(self, first: bytes) -> None:
-        line = first + self.rfile.readline(MAX_FRAME_BYTES + 1)
-        if len(line) > MAX_FRAME_BYTES:
-            self._answer_line(self._protocol_error(
-                f"request line exceeds the {MAX_FRAME_BYTES}-byte limit"))
+        if preamble != PROTOCOL_MAGIC:
+            self._answer(self._protocol_error(
+                f"unrecognized protocol preamble {preamble!r}"))
             return
-        try:
-            request = json.loads(line)
-        except ValueError as error:
-            self._answer_line(self._protocol_error(
-                f"malformed JSON request: {error}"))
-            return
-        try:
-            response = self.server.dispatch(request)  # type: ignore[attr-defined]
-        except (ValueError, KeyError, TypeError) as error:
-            response = {"ok": False, "error": str(error) or repr(error)}
-        self._answer_line(response)
-
-    def _answer_line(self, response: Mapping[str, object]) -> None:
-        try:
-            self.wfile.write(json.dumps(response).encode("utf-8") + b"\n")
-        except OSError:  # pragma: no cover - peer vanished mid-answer
-            pass
-
-    # -- v2: persistent framed session -------------------------------------
-    def _handle_session(self) -> None:
         while True:
             try:
                 frame = read_frame(self.rfile)
             except FrameError as error:
                 # Framing is lost — answer once, then close: the stream
                 # cannot be resynchronized after a bad length prefix.
-                self._answer_frame(self._protocol_error(str(error)))
+                self._answer(self._protocol_error(str(error)))
                 return
             except OSError:  # pragma: no cover - peer reset mid-read
                 return
             if frame is None:
                 return
-            kind, payload = frame
+            request: Mapping[str, object] = {}
             try:
-                response = self._dispatch_frame(kind, payload)
+                request, response = self._dispatch_frame(*frame)
             except FrameError as error:
                 # Payload-level defect; framing is intact, session survives.
                 response = self._protocol_error(str(error))
             except (ValueError, KeyError, TypeError) as error:
                 response = {"ok": False, "error": str(error) or repr(error)}
-            if not self._answer_frame(response):
+            if not self._answer(response):
                 return
+            if request.get("op") == "shutdown" and response["ok"]:
+                # Only now that the reply is on the wire may serving stop.
+                self.server.stop_soon()  # type: ignore[attr-defined]
 
-    def _dispatch_frame(self, kind: int,
-                        payload: bytes) -> Dict[str, object]:
+    def _dispatch_frame(self, kind: int, payload: bytes
+                        ) -> Tuple[Mapping[str, object], Dict[str, object]]:
+        """(request, response) of one frame; a completion frame's request
+        is its meta."""
         server = self.server
         if kind == FRAME_KIND_JSON:
             try:
@@ -983,13 +927,13 @@ class _CoordinatorHandler(socketserver.StreamRequestHandler):
                 raise FrameError(f"malformed JSON frame: {error}")
             if not isinstance(request, dict):
                 raise FrameError("JSON frame is not an object")
-            return server.dispatch(request)  # type: ignore[attr-defined]
+            return request, server.dispatch(request)  # type: ignore[attr-defined]
         if kind == FRAME_KIND_BLOCK:
             meta, block = decode_block_payload(payload)
-            return server.dispatch_block(meta, block)  # type: ignore[attr-defined]
+            return meta, server.dispatch_block(meta, block)  # type: ignore[attr-defined]
         raise FrameError(f"unknown frame kind 0x{kind:02x}")
 
-    def _answer_frame(self, response: Mapping[str, object]) -> bool:
+    def _answer(self, response: Mapping[str, object]) -> bool:
         try:
             self.wfile.write(encode_json_frame(response))
             return True
@@ -1002,7 +946,7 @@ class _CoordinatorHandler(socketserver.StreamRequestHandler):
 
 
 class CoordinatorServer(socketserver.ThreadingTCPServer):
-    """Serve a :class:`Coordinator` over localhost TCP (v1 + v2 protocols)."""
+    """Serve a :class:`Coordinator` over localhost TCP (framed sessions)."""
 
     allow_reuse_address = True
     daemon_threads = True
@@ -1037,42 +981,17 @@ class CoordinatorServer(socketserver.ThreadingTCPServer):
         with self._lock:
             coordinator = self.coordinator
             if op == "lease":
-                if "count" in request:
-                    granted = coordinator.request_leases(
-                        str(request["worker"]), int(request["count"]))
-                    if not granted and coordinator.draining:
-                        return {"ok": True, "shutdown": True}
-                    return {
-                        "ok": True,
-                        "heartbeat_seconds":
-                            coordinator._lease_timeout / 3.0,
-                        "leases": [{"lease": lease.as_document(),
-                                    "shard": shard.as_document()}
-                                   for lease, shard in granted],
-                    }
-                granted = coordinator.request_lease(str(request["worker"]))
-                if granted is None:
-                    if coordinator.draining:
-                        return {"ok": True, "shutdown": True}
-                    return {"ok": True, "idle": True}
-                lease, shard = granted
-                return {"ok": True, "lease": lease.as_document(),
-                        "heartbeat_seconds": coordinator._lease_timeout / 3.0,
-                        "shard": shard.as_document()}
+                return coordinator.lease_response(
+                    str(request["worker"]), int(request.get("count", 1)))
             if op == "heartbeat":
-                if "lease_ids" in request:
-                    rtt = request.get("rtt")
-                    if rtt is not None:
-                        coordinator.record_worker_rtt(
-                            str(request.get("worker", "")), rtt)
-                    live = coordinator.heartbeat_many(
-                        [int(lease_id)
-                         for lease_id in request["lease_ids"]])
-                    return {"ok": True,
-                            "live": {str(lease_id): alive
-                                     for lease_id, alive in live.items()}}
-                live = coordinator.heartbeat(int(request["lease_id"]))
-                return {"ok": True, "live": live}
+                rtt = request.get("rtt")
+                if rtt is not None:
+                    coordinator.record_worker_rtt(
+                        str(request.get("worker", "")), rtt)
+                live = coordinator.heartbeat_many(request["lease_ids"])
+                return {"ok": True,
+                        "live": {str(lease_id): alive
+                                 for lease_id, alive in live.items()}}
             if op == "complete":
                 accepted = coordinator.complete_lease(
                     int(request["lease_id"]), request["document"])
@@ -1092,26 +1011,46 @@ class CoordinatorServer(socketserver.ThreadingTCPServer):
             if op == "status":
                 return {"ok": True, "status": coordinator.status()}
             if op == "shutdown":
+                # The handler stops the server once this reply is written.
                 coordinator.drain()
-                # shutdown() blocks until serve_forever returns, so it must
-                # not run on this handler thread; closing the listening
-                # socket afterwards turns further connects into refusals
-                # instead of hangs.
-                threading.Thread(target=self._stop, daemon=True).start()
                 return {"ok": True}
         raise CoordinatorError(f"unknown op {op!r}")
+
+    def stop_soon(self) -> None:
+        """Stop serving from a helper thread: ``shutdown()`` blocks until
+        ``serve_forever`` returns, so it must not run on a handler thread.
+        Closing the listening socket afterwards turns further connects into
+        refusals instead of hangs."""
+        threading.Thread(target=self._stop, daemon=True).start()
 
     def _stop(self) -> None:
         self.shutdown()
         self.server_close()
 
 
-class CoordinatorClient:
-    """Stateless client: one fresh connection per operation.
+#: Smallest span (in result rows) that a session ships as a binary shard
+#: block; smaller spans ride in JSON op frames.  Read at call time.  The
+#: block codec costs ~2 ms per span (encode + decode) and JSON ~0.05 ms
+#: for 1 row, ~0.3 ms for 16; the two meet near 128 rows (measured on a
+#: 2-vCPU Xeon VM).
+SESSION_BLOCK_MIN_ROWS = 128
 
-    Matches :class:`repro.explore.worker.InProcessClient` method for
-    method, so workers and the submit CLI run unchanged over TCP or against
-    an in-process coordinator (the deterministic test seam).
+
+class CoordinatorSession:
+    """The coordinator client: framed ops pipelined over one socket.
+
+    Opens a single connection (lazily, on first use), announces itself with
+    the ``RXP2`` preamble, and then exchanges length-prefixed frames for the
+    session's whole lifetime — no per-op connection setup.  Completions of
+    at least :data:`SESSION_BLOCK_MIN_ROWS` rows travel as binary columnar
+    shard blocks; smaller ones go as JSON op frames.  An internal lock
+    serializes round trips, so a worker's heartbeat thread can share the
+    session with its execution loop.  Any transport fault closes the socket
+    and raises :class:`ConnectionError`; the next call transparently
+    reconnects.
+
+    :class:`repro.explore.worker.InProcessClient` mirrors its worker- and
+    control-plane methods against an in-process coordinator.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -1119,110 +1058,6 @@ class CoordinatorClient:
         self.host = host
         self.port = port
         self.timeout = timeout
-
-    def call(self, request: Mapping[str, object]) -> Dict[str, object]:
-        with socket.create_connection((self.host, self.port),
-                                      timeout=self.timeout) as connection:
-            connection.sendall(json.dumps(request).encode("utf-8") + b"\n")
-            with connection.makefile("rb") as reader:
-                line = reader.readline()
-        if not line:
-            raise ConnectionError("coordinator closed the connection "
-                                  "without a response")
-        response = json.loads(line)
-        if not response.get("ok"):
-            raise CoordinatorError(response.get("error", "request failed"))
-        return response
-
-    # -- worker plane -------------------------------------------------------
-    def request_lease(self, worker: str) -> Dict[str, object]:
-        return self.call({"op": "lease", "worker": worker})
-
-    def request_leases(self, worker: str, count: int) -> Dict[str, object]:
-        return self.call({"op": "lease", "worker": worker,
-                          "count": int(count)})
-
-    def heartbeat(self, lease_id: int) -> bool:
-        return bool(self.call({"op": "heartbeat",
-                               "lease_id": lease_id})["live"])
-
-    def heartbeat_many(self, lease_ids: Sequence[int],
-                       worker: Optional[str] = None,
-                       rtt: Optional[Mapping[str, object]] = None,
-                       ) -> Dict[int, bool]:
-        request: Dict[str, object] = {"op": "heartbeat",
-                                      "lease_ids": list(lease_ids)}
-        if worker is not None:
-            request["worker"] = worker
-        if rtt is not None:
-            request["rtt"] = dict(rtt)
-        live = self.call(request)["live"]
-        return {int(lease_id): bool(alive)
-                for lease_id, alive in live.items()}
-
-    def complete(self, lease_id: int,
-                 document: Mapping[str, object]) -> bool:
-        return bool(self.call({"op": "complete", "lease_id": lease_id,
-                               "document": document})["accepted"])
-
-    # -- control plane ------------------------------------------------------
-    def submit(self, job_documents: Sequence[Mapping[str, object]],
-               shards: int, label: Optional[str] = None,
-               json_path: Optional[str] = None,
-               csv_path: Optional[str] = None,
-               store_path: Optional[str] = None) -> str:
-        return str(self.call({
-            "op": "submit", "jobs": list(job_documents), "shards": shards,
-            "label": label, "json": json_path, "csv": csv_path,
-            "store": store_path,
-        })["campaign"])
-
-    def campaign_progress(self, campaign_id: str) -> Dict[str, object]:
-        return self.call({"op": "campaign",
-                          "campaign": campaign_id})["progress"]
-
-    def status(self) -> Dict[str, object]:
-        return self.call({"op": "status"})["status"]
-
-    def shutdown(self) -> None:
-        self.call({"op": "shutdown"})
-
-
-#: Smallest span (in result rows) that a session ships as a binary shard
-#: block.  Below this the numpy codec's fixed cost exceeds the JSON rows it
-#: saves, so tiny completions ride in ordinary JSON op frames instead.
-SESSION_BLOCK_MIN_ROWS = 128
-
-
-class CoordinatorSession:
-    """Persistent protocol-v2 client: framed ops pipelined over one socket.
-
-    Opens a single connection (lazily, on first use), announces itself with
-    the ``RXP2`` preamble, and then exchanges length-prefixed frames for the
-    session's whole lifetime — no per-op connection setup.  Completions of
-    at least ``block_min_rows`` rows travel as binary columnar shard blocks;
-    smaller ones go as JSON op frames, and ``json_payloads`` forces JSON for
-    every completion (the differential-test seam).  An internal lock
-    serializes round trips, so a worker's heartbeat thread can share the
-    session with its execution loop.  Any transport fault closes the socket
-    and raises :class:`ConnectionError`; the next call transparently
-    reconnects.
-
-    API-compatible superset of :class:`CoordinatorClient` /
-    :class:`repro.explore.worker.InProcessClient`.
-    """
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 timeout: Optional[float] = 60.0,
-                 json_payloads: bool = False,
-                 block_min_rows: Optional[int] = None):
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.json_payloads = json_payloads
-        self.block_min_rows = (SESSION_BLOCK_MIN_ROWS
-                               if block_min_rows is None
-                               else max(0, int(block_min_rows)))
         self._lock = threading.Lock()
         self._sock: Optional[socket.socket] = None
         self._reader: Optional[BinaryIO] = None
@@ -1258,10 +1093,6 @@ class CoordinatorSession:
         with self._lock:
             self._drop()
 
-    def reconnect(self) -> None:
-        """Drop the current socket; the next call opens a fresh one."""
-        self.close()
-
     def __enter__(self) -> "CoordinatorSession":
         return self
 
@@ -1269,9 +1100,6 @@ class CoordinatorSession:
         self.close()
 
     # -- framed round trips --------------------------------------------------
-    def _round_trip(self, frame: bytes) -> Dict[str, object]:
-        return self._exchange([frame])[0]
-
     def _exchange(self, frames: Iterable[bytes]) -> List[Dict[str, object]]:
         """Pipelined frame exchange: every request frame is written before
         the first response is awaited (frames from a lazy iterable are
@@ -1331,7 +1159,7 @@ class CoordinatorSession:
         return response
 
     def call(self, request: Mapping[str, object]) -> Dict[str, object]:
-        return self._round_trip(encode_json_frame(request))
+        return self._exchange([encode_json_frame(request)])[0]
 
     def call_many(self, requests: Sequence[Mapping[str, object]]
                   ) -> List[Dict[str, object]]:
@@ -1344,16 +1172,10 @@ class CoordinatorSession:
                               for request in list(requests))
 
     # -- worker plane -------------------------------------------------------
-    def request_lease(self, worker: str) -> Dict[str, object]:
-        return self.call({"op": "lease", "worker": worker})
-
-    def request_leases(self, worker: str, count: int) -> Dict[str, object]:
+    def request_leases(self, worker: str, count: int = 1
+                       ) -> Dict[str, object]:
         return self.call({"op": "lease", "worker": worker,
                           "count": int(count)})
-
-    def heartbeat(self, lease_id: int) -> bool:
-        return bool(self.call({"op": "heartbeat",
-                               "lease_id": lease_id})["live"])
 
     def heartbeat_many(self, lease_ids: Sequence[int],
                        worker: Optional[str] = None,
@@ -1369,11 +1191,12 @@ class CoordinatorSession:
         return {int(lease_id): bool(alive)
                 for lease_id, alive in live.items()}
 
-    def _completion_frame(self, lease_id: int,
+    @staticmethod
+    def _completion_frame(lease_id: int,
                           document: Mapping[str, object]) -> bytes:
         rows = document.get("rows")
         row_count = len(rows) if isinstance(rows, list) else 0
-        if self.json_payloads or row_count < self.block_min_rows:
+        if row_count < SESSION_BLOCK_MIN_ROWS:
             return encode_json_frame({"op": "complete", "lease_id": lease_id,
                                       "document": document})
         return encode_block_frame({"op": "complete",
@@ -1382,28 +1205,22 @@ class CoordinatorSession:
 
     def complete(self, lease_id: int,
                  document: Mapping[str, object]) -> bool:
-        return bool(self._round_trip(
-            self._completion_frame(lease_id, document))["accepted"])
+        return self.complete_many([(lease_id, document)])[0]
 
     def complete_many(self, completions: Sequence[
             Tuple[int, Mapping[str, object]]]) -> List[bool]:
         """Complete many leases in one pipelined flight.
 
-        All completion frames (JSON or binary, per the ``block_min_rows``
-        policy) are written back-to-back and the responses collected
-        afterwards, so the client encodes span *n+1* while the coordinator
-        is still validating and ingesting span *n*.  Returns the per-lease
-        ``accepted`` flags in input order.
+        All completion frames (JSON or binary, per
+        :data:`SESSION_BLOCK_MIN_ROWS`) are written back-to-back and the
+        responses collected afterwards, so the client encodes span *n+1*
+        while the coordinator is still validating and ingesting span *n*.
+        Returns the per-lease ``accepted`` flags in input order.
         """
         frames = (self._completion_frame(lease_id, document)
                   for lease_id, document in list(completions))
         return [bool(response["accepted"])
                 for response in self._exchange(frames)]
-
-    def complete_block(self, lease_id: int, block: bytes) -> bool:
-        frame = encode_block_frame({"op": "complete",
-                                    "lease_id": int(lease_id)}, block)
-        return bool(self._round_trip(frame)["accepted"])
 
     # -- control plane ------------------------------------------------------
     def submit(self, job_documents: Sequence[Mapping[str, object]],

@@ -101,6 +101,12 @@ COLUMN_KINDS: Dict[str, str] = {
 _KIND_DTYPES = {"int": np.dtype(np.int64), "float": np.dtype(np.float64),
                 "bool": np.dtype(bool)}
 
+#: Value types each declared column kind holds losslessly (``bool`` only
+#: in bool columns, although it subclasses ``int``).
+_KIND_TYPES = {"int": (int, np.integer),
+               "float": (int, float, np.integer, np.floating),
+               "bool": (bool, np.bool_), "str": (str,)}
+
 
 class StoreError(ValueError):
     """A store directory is missing, malformed or misused."""
@@ -701,6 +707,15 @@ def encode_shard_block(document: Mapping[str, object]) -> bytes:
         except KeyError as error:
             raise StoreError(
                 f"shard block row is missing column {error.args[0]!r}")
+        kind = COLUMN_KINDS.get(str(column))
+        foreign = kind and sorted(
+            value_type.__name__ for value_type in set(map(type, values))
+            if not issubclass(value_type, _KIND_TYPES[kind])
+            or (value_type is bool and kind != "bool"))
+        if foreign:
+            # The schema dtype would coerce these silently (False -> 0).
+            raise StoreError(f"column {column!r} is declared {kind} but "
+                             f"holds {', '.join(foreign)} values")
         array = _column_array(str(column), values)
         if array.dtype.kind == "U" and array.tolist() != values:
             # Fixed-width numpy unicode drops trailing NULs on read-back;

@@ -7,31 +7,26 @@ artifacts bitwise identical to monolithic ones), posts the deterministic
 shard document back, and repeats.  All scheduling intelligence — fairness,
 stealing, merge order — lives in the coordinator.
 
-Three client flavours plug into the same loop:
+Two clients with one method set plug into the same loop:
 
-* :class:`~repro.explore.coordinator.CoordinatorSession` — the protocol-v2
-  framed-session client (persistent socket, batched ops, binary columnar
-  completions); the default for the ``work`` CLI subcommand.
-* :class:`~repro.explore.coordinator.CoordinatorClient` — the legacy v1
-  connection-per-op JSONL client, kept as a compatibility shim
-  (``work --protocol v1``).
+* :class:`~repro.explore.coordinator.CoordinatorSession` — the framed
+  session over TCP (persistent socket, batched ops, binary columnar
+  completions); what the ``work`` CLI subcommand uses.
 * :class:`InProcessClient` — direct method calls against a
   :class:`~repro.explore.coordinator.Coordinator`; the deterministic test
   seam (no sockets, no threads unless the test asks for them).
 
-While a span executes, an optional daemon thread heartbeats the lease so a
-*slow* worker is distinguishable from a *dead* one.  A heartbeat answered
-with ``live=False`` means the coordinator already stole the lease; the
-loop notes it and keeps going — its eventual completion is acknowledged as
-stale and merged by nobody, preserving exactly-once ingestion.
-
-With ``prefetch > 1`` (and a client that supports batched leasing) the
-worker leases up to N spans per round trip and a single daemon thread
-coalesces heartbeats for *all* held leases into one frame, shipping the
-worker's cumulative heartbeat-RTT histogram snapshot along for coordinator
--side aggregation.  With ``reconnect_tries > 0`` a transient connection
-error triggers bounded exponential backoff instead of an immediate exit;
-leases are abandoned only once the budget is exhausted.
+Each pass of the loop leases up to ``prefetch`` spans (default 1) in one
+round trip and executes them back to back.  Meanwhile one daemon thread
+heartbeats *all* held leases in one frame, so a *slow* worker is
+distinguishable from a *dead* one, and ships the worker's cumulative
+heartbeat-RTT histogram snapshot along for coordinator-side aggregation.
+A lease answered with ``live=False`` was already stolen; the loop notes it
+and keeps going — its eventual completion is acknowledged as stale and
+merged by nobody, preserving exactly-once ingestion.  With
+``reconnect_tries > 0`` a transient connection error triggers bounded
+exponential backoff instead of an immediate exit; leases are abandoned
+only once the budget is exhausted.
 """
 
 from __future__ import annotations
@@ -55,29 +50,9 @@ class InProcessClient:
     def __init__(self, coordinator: Coordinator):
         self._coordinator = coordinator
 
-    def request_lease(self, worker: str) -> Dict[str, object]:
-        granted = self._coordinator.request_lease(worker)
-        if granted is None:
-            if self._coordinator.draining:
-                return {"ok": True, "shutdown": True}
-            return {"ok": True, "idle": True}
-        lease, shard = granted
-        return {"ok": True, "lease": lease.as_document(),
-                "heartbeat_seconds": self._coordinator._lease_timeout / 3.0,
-                "shard": shard.as_document()}
-
-    def request_leases(self, worker: str, count: int) -> Dict[str, object]:
-        granted = self._coordinator.request_leases(worker, count)
-        if not granted and self._coordinator.draining:
-            return {"ok": True, "shutdown": True}
-        return {"ok": True,
-                "heartbeat_seconds": self._coordinator._lease_timeout / 3.0,
-                "leases": [{"lease": lease.as_document(),
-                            "shard": shard.as_document()}
-                           for lease, shard in granted]}
-
-    def heartbeat(self, lease_id: int) -> bool:
-        return self._coordinator.heartbeat(lease_id)
+    def request_leases(self, worker: str, count: int = 1
+                       ) -> Dict[str, object]:
+        return self._coordinator.lease_response(worker, count)
 
     def heartbeat_many(self, lease_ids: Sequence[int],
                        worker: Optional[str] = None,
@@ -92,12 +67,13 @@ class InProcessClient:
         return self._coordinator.complete_lease(lease_id, document)
 
     def submit(self, job_documents: Sequence[Mapping[str, object]],
-               shards: int, **kwargs) -> str:
+               shards: int, label: Optional[str] = None,
+               json_path: Optional[str] = None,
+               csv_path: Optional[str] = None,
+               store_path: Optional[str] = None) -> str:
         return self._coordinator.submit_job_documents(
-            job_documents, shards,
-            label=kwargs.get("label"), json_path=kwargs.get("json_path"),
-            csv_path=kwargs.get("csv_path"),
-            store_path=kwargs.get("store_path"))
+            job_documents, shards, label=label, json_path=json_path,
+            csv_path=csv_path, store_path=store_path)
 
     def campaign_progress(self, campaign_id: str) -> Dict[str, object]:
         return self._coordinator.campaign_progress(campaign_id)
@@ -170,26 +146,8 @@ class CampaignWorker:
         if self._status is not None:
             self._status(f"[{self.worker_id}] {message}")
 
-    def _heartbeat_loop(self, lease_id: int, interval: float,
-                        stop: threading.Event) -> None:
-        while not stop.wait(interval):
-            try:
-                sent = self._clock()
-                live = self.client.heartbeat(lease_id)
-                self._m_rtt.observe(self._clock() - sent)
-                if not live:
-                    self._report(f"lease {lease_id} was stolen; "
-                                 "finishing anyway")
-                    return
-            except (OSError, ValueError):
-                # Coordinator unreachable mid-span: keep computing; the
-                # completion attempt will surface the failure.
-                return
-
-    def _coalesced_heartbeat_loop(self, held: Set[int],
-                                  held_lock: threading.Lock,
-                                  interval: float,
-                                  stop: threading.Event) -> None:
+    def _heartbeat_loop(self, held: Set[int], held_lock: threading.Lock,
+                        interval: float, stop: threading.Event) -> None:
         """One frame per beat for *all* held leases, RTT snapshot included.
 
         The snapshot is cumulative, so retransmits are idempotent — the
@@ -206,6 +164,8 @@ class CampaignWorker:
                     rtt=self._m_rtt.snapshot())
                 self._m_rtt.observe(self._clock() - sent)
             except (OSError, ValueError):
+                # Coordinator unreachable mid-span: keep computing; the
+                # completion attempt will surface the failure.
                 return
             stolen = [lease_id for lease_id, alive in live.items()
                       if not alive]
@@ -214,42 +174,6 @@ class CampaignWorker:
                     held.difference_update(stolen)
                 self._report(f"lease(s) {stolen} were stolen; "
                              "finishing anyway")
-
-    def run_one(self) -> bool:
-        """Lease and execute one span.  False when no work was granted."""
-        response = self.client.request_lease(self.worker_id)
-        if response.get("shutdown"):
-            raise StopIteration
-        if response.get("idle"):
-            return False
-        lease = response["lease"]
-        lease_id = int(lease["lease_id"])
-        shard = CampaignShard.from_document(response["shard"])
-        self.stats["leases"] += 1
-        self._report(f"leased span {lease['campaign_id']}/"
-                     f"{lease['shard_index']} "
-                     f"({len(shard.jobs)} job(s))")
-        self._emit("worker-lease", campaign=lease["campaign_id"],
-                   span=lease["shard_index"], lease=lease_id,
-                   jobs=len(shard.jobs))
-        interval = self.heartbeat_interval
-        if interval is None:
-            interval = float(response.get("heartbeat_seconds") or 0) or None
-        stop = threading.Event()
-        beat: Optional[threading.Thread] = None
-        if interval is not None and interval > 0:
-            beat = threading.Thread(
-                target=self._heartbeat_loop, args=(lease_id, interval, stop),
-                daemon=True)
-            beat.start()
-        try:
-            document = self._executor(shard)
-        finally:
-            stop.set()
-            if beat is not None:
-                beat.join(timeout=5.0)
-        self._complete_span(lease, lease_id, document)
-        return True
 
     def _complete_span(self, lease: Mapping[str, object], lease_id: int,
                        document: Mapping[str, object]) -> None:
@@ -302,10 +226,9 @@ class CampaignWorker:
             interval = float(response.get("heartbeat_seconds") or 0) or None
         stop = threading.Event()
         beat: Optional[threading.Thread] = None
-        if interval is not None and interval > 0 \
-                and hasattr(self.client, "heartbeat_many"):
+        if interval is not None and interval > 0:
             beat = threading.Thread(
-                target=self._coalesced_heartbeat_loop,
+                target=self._heartbeat_loop,
                 args=(held, held_lock, interval, stop), daemon=True)
             beat.start()
         try:
@@ -325,11 +248,9 @@ class CampaignWorker:
         ``should_run`` turns false.  Returns the stats counters."""
         idle = 0
         failures = 0
-        batched = self.prefetch > 1 \
-            and hasattr(self.client, "request_leases")
         while self._should_run is None or self._should_run():
             try:
-                worked = self.run_batch() if batched else self.run_one()
+                worked = self.run_batch()
             except StopIteration:
                 self._report("coordinator is draining; exiting")
                 self._emit("worker-exit", reason="draining")
@@ -348,10 +269,9 @@ class CampaignWorker:
                 self._emit("worker-reconnect", attempt=failures,
                            budget=self.reconnect_tries,
                            delay_seconds=round(delay, 6))
+                # The session dropped its socket with the error; the next
+                # call reconnects.
                 self._sleep(delay)
-                reconnect = getattr(self.client, "reconnect", None)
-                if reconnect is not None:
-                    reconnect()
                 continue
             failures = 0
             if worked:

@@ -489,6 +489,53 @@ class TestCoordinatorCli:
             coordinator.close()
 
 
+    def test_submit_wait_shutdown_after_exits_zero(self, capsys, tmp_path):
+        # Regression: the shutdown reply raced the stopping server, so this
+        # command could exit 2 after a completed campaign.
+        import threading
+
+        from repro.explore.coordinator import (
+            Coordinator,
+            CoordinatorServer,
+            CoordinatorSession,
+        )
+        from repro.explore.worker import CampaignWorker
+
+        grid = ["--core-counts", "1", "2", "--tam-widths", "16",
+                "--patterns", "16", "--seed", "5"]
+        coordinator = Coordinator()
+        server = CoordinatorServer(coordinator)
+        thread = threading.Thread(target=server.serve_forever,
+                                  kwargs={"poll_interval": 0.05},
+                                  daemon=True)
+        thread.start()
+        worker = CampaignWorker(CoordinatorSession(port=server.port), "w0",
+                                poll_interval=0.01)
+        worker_thread = threading.Thread(target=worker.run)
+        worker_thread.start()
+        try:
+            coord_json = tmp_path / "coord.json"
+            exit_code = main(["submit", "--connect",
+                              f"127.0.0.1:{server.port}", *grid,
+                              "--shards", "2", "--wait", "--poll", "0.05",
+                              "--shutdown-after", "--json", str(coord_json)])
+            captured = capsys.readouterr()
+            assert exit_code == 0, captured.err
+            assert "complete: 4 row(s) from 2 span(s)" in captured.out
+            assert coordinator.draining
+            worker_thread.join(timeout=30.0)  # drained: the worker exits
+            assert not worker_thread.is_alive()
+            mono_json = tmp_path / "mono.json"
+            assert main(["campaign", *grid, "--json", str(mono_json)]) == 0
+            assert coord_json.read_bytes() == mono_json.read_bytes()
+        finally:
+            worker.client.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5.0)
+            coordinator.close()
+
+
 class TestAdaptiveShardCli:
     def test_sharded_adaptive_bitwise_identical_to_unsharded(self, capsys,
                                                              tmp_path):

@@ -23,8 +23,9 @@ Layout:
   :class:`~repro.explore.worker.CampaignWorker` with 1/2/4/7 workers
   (including one killed mid-lease), fast sizes plus a slow-marked
   72-scenario case.
-* ``TestSocketProtocol`` — the TCP server/client pair for real: threaded
-  workers over localhost, protocol errors, shutdown.
+* ``TestSocketProtocol`` — the TCP server/session pair for real: threaded
+  workers over localhost, protocol errors, shutdown (including the reply
+  race against the stopping server).
 
 Fake outcomes (pure data, never simulated) keep the fault matrix and the
 property suite instant; the differential class pays for real simulation
@@ -48,9 +49,9 @@ from repro.explore.campaign import (
 from repro.explore.coordinator import (
     COORDINATOR_SCHEMA_VERSION,
     Coordinator,
-    CoordinatorClient,
     CoordinatorError,
     CoordinatorServer,
+    CoordinatorSession,
 )
 from repro.explore.distrib import MergeError, ShardRun, job_to_dict, plan_shards
 from repro.explore.metrics import (
@@ -252,10 +253,10 @@ class TestLeaseLifecycle:
         coordinator = coordinator_factory()
         campaign_id, _, paths = submit_fake(coordinator, tmp_path, 8, 3)
         while True:
-            granted = coordinator.request_lease("w1")
-            if granted is None:
+            granted = coordinator.request_leases("w1", 1)
+            if not granted:
                 break
-            lease, shard = granted
+            [(lease, shard)] = granted
             assert lease.worker == "w1"
             assert coordinator.complete_lease(
                 lease.lease_id, scripted_executor(shard))
@@ -267,10 +268,11 @@ class TestLeaseLifecycle:
                                             fake_clock, tmp_path):
         coordinator = coordinator_factory(lease_timeout=60.0)
         submit_fake(coordinator, tmp_path, 4, 2)
-        lease, shard = coordinator.request_lease("slow")
+        [(lease, shard)] = coordinator.request_leases("slow", 1)
         for _ in range(5):  # 5 × 50 s, alive the whole time
             fake_clock.advance(50)
-            assert coordinator.heartbeat(lease.lease_id) is True
+            assert coordinator.heartbeat_many([lease.lease_id]) == \
+                {lease.lease_id: True}
         assert coordinator.complete_lease(lease.lease_id,
                                           scripted_executor(shard)) is True
         assert coordinator.status()["steals"] == 0
@@ -279,13 +281,15 @@ class TestLeaseLifecycle:
                                                    fake_clock, tmp_path):
         coordinator = coordinator_factory(lease_timeout=60.0)
         submit_fake(coordinator, tmp_path, 4, 2)
-        lease, shard = coordinator.request_lease("dead")
+        [(lease, shard)] = coordinator.request_leases("dead", 1)
         fake_clock.advance(61)
-        regrant, reshard = coordinator.request_lease("live")
+        [(regrant, reshard)] = coordinator.request_leases("live", 1)
         assert regrant.shard_index == lease.shard_index  # stolen span first
         assert reshard.as_document() == shard.as_document()
-        assert coordinator.heartbeat(lease.lease_id) is False  # old grant
-        assert coordinator.heartbeat(regrant.lease_id) is True
+        assert coordinator.heartbeat_many(
+            [lease.lease_id, regrant.lease_id]) == {
+                lease.lease_id: False,  # the old grant
+                regrant.lease_id: True}
         assert coordinator.status()["steals"] == 1
 
     def test_completion_from_a_stolen_lease_wins_if_first(
@@ -296,15 +300,17 @@ class TestLeaseLifecycle:
         # either way because deterministic documents are identical.
         coordinator = coordinator_factory(lease_timeout=60.0)
         campaign_id, _, paths = submit_fake(coordinator, tmp_path, 4, 2)
-        slow_lease, slow_shard = coordinator.request_lease("slow")
+        [(slow_lease, slow_shard)] = coordinator.request_leases("slow", 1)
         fake_clock.advance(61)
-        thief_lease, thief_shard = coordinator.request_lease("thief")
+        [(thief_lease, thief_shard)] = coordinator.request_leases(
+            "thief", 1)
         assert coordinator.complete_lease(
             slow_lease.lease_id, scripted_executor(slow_shard)) is True
         assert coordinator.complete_lease(
             thief_lease.lease_id, scripted_executor(thief_shard)) is False
         assert coordinator.status()["stale_completions"] == 1
-        lease, shard = coordinator.request_lease("live")  # the other span
+        # The other span.
+        [(lease, shard)] = coordinator.request_leases("live", 1)
         coordinator.complete_lease(lease.lease_id, scripted_executor(shard))
         assert coordinator.campaign_progress(campaign_id)["complete"]
         assert_bitwise_identical(paths)
@@ -313,13 +319,14 @@ class TestLeaseLifecycle:
             self, coordinator_factory, tmp_path):
         coordinator = coordinator_factory()
         submit_fake(coordinator, tmp_path, 4, 2)
-        lease, shard = coordinator.request_lease("w1")
+        [(lease, shard)] = coordinator.request_leases("w1", 1)
         tampered = scripted_executor(shard)
         tampered["row_count"] += 1
         with pytest.raises(MergeError):
             coordinator.complete_lease(lease.lease_id, tampered)
         # The lease survives the bad artifact; an honest retry still lands.
-        assert coordinator.heartbeat(lease.lease_id) is True
+        assert coordinator.heartbeat_many([lease.lease_id]) == \
+            {lease.lease_id: True}
         assert coordinator.complete_lease(lease.lease_id,
                                           scripted_executor(shard)) is True
 
@@ -327,7 +334,7 @@ class TestLeaseLifecycle:
             self, coordinator_factory, tmp_path):
         coordinator = coordinator_factory()
         with pytest.raises(CoordinatorError, match="unknown lease"):
-            coordinator.heartbeat(99)
+            coordinator.complete_lease(99, {})
         with pytest.raises(CoordinatorError, match="unknown campaign"):
             coordinator.campaign_progress("c9999")
 
@@ -336,7 +343,7 @@ class TestLeaseLifecycle:
         coordinator = coordinator_factory()
         submit_fake(coordinator, tmp_path, 4, 2)
         coordinator.drain()
-        assert coordinator.request_lease("w1") is None
+        assert coordinator.request_leases("w1", 1) == []
         with pytest.raises(CoordinatorError, match="draining"):
             coordinator.submit_jobs(fake_jobs(2), 1)
 
@@ -347,7 +354,7 @@ class TestLeaseLifecycle:
         second, _, _ = submit_fake(coordinator, tmp_path, 8, 4, name="b")
         order = []
         for _ in range(8):
-            lease, shard = coordinator.request_lease("w1")
+            [(lease, shard)] = coordinator.request_leases("w1", 1)
             order.append(lease.campaign_id)
         # Equal-sized campaigns at equal load alternate strictly, ties
         # broken by submission order.
@@ -357,9 +364,9 @@ class TestLeaseLifecycle:
             self, coordinator_factory, fake_clock, tmp_path):
         coordinator = coordinator_factory(lease_timeout=60.0)
         submit_fake(coordinator, tmp_path, 8, 4, name="fleet")
-        lease, shard = coordinator.request_lease("w1")
+        [(lease, shard)] = coordinator.request_leases("w1", 1)
         coordinator.complete_lease(lease.lease_id, scripted_executor(shard))
-        coordinator.request_lease("w2")
+        coordinator.request_leases("w2", 1)
         fake_clock.advance(10)
         status = coordinator.status()
         assert status["coordinator_schema_version"] == COORDINATOR_SCHEMA_VERSION
@@ -384,7 +391,7 @@ class TestFaultInjection:
         # survivor drains the campaign; the artifact shows no trace.
         coordinator = coordinator_factory(lease_timeout=60.0)
         campaign_id, _, paths = submit_fake(coordinator, tmp_path, 10, 5)
-        coordinator.request_lease("victim")
+        coordinator.request_leases("victim", 1)
         fake_clock.advance(61)
         scripted_worker(coordinator, "survivor").run()
         progress = coordinator.campaign_progress(campaign_id)
@@ -395,9 +402,10 @@ class TestFaultInjection:
             self, coordinator_factory, fake_clock, tmp_path):
         coordinator = coordinator_factory(lease_timeout=60.0)
         campaign_id, _, paths = submit_fake(coordinator, tmp_path, 8, 4)
-        lease, shard = coordinator.request_lease("laggard")
+        [(lease, shard)] = coordinator.request_leases("laggard", 1)
         fake_clock.advance(90)  # heartbeat arrives 30 s too late
-        assert coordinator.heartbeat(lease.lease_id) is False
+        assert coordinator.heartbeat_many([lease.lease_id]) == \
+            {lease.lease_id: False}
         scripted_worker(coordinator, "survivor").run()
         # The laggard finishes anyway; its completion must be stale.
         assert coordinator.complete_lease(
@@ -410,7 +418,7 @@ class TestFaultInjection:
             self, coordinator_factory, tmp_path):
         coordinator = coordinator_factory()
         campaign_id, _, paths = submit_fake(coordinator, tmp_path, 9, 4)
-        lease, shard = coordinator.request_lease("dup")
+        [(lease, shard)] = coordinator.request_leases("dup", 1)
         document = scripted_executor(shard)
         assert coordinator.complete_lease(lease.lease_id, document) is True
         for _ in range(3):  # a retry loop gone wrong
@@ -430,7 +438,8 @@ class TestFaultInjection:
         flaky = FlakyClient(InProcessClient(coordinator))
         partitioned = scripted_worker(coordinator, "partitioned",
                                       client=flaky, max_idle_polls=10)
-        lease, shard = coordinator.request_lease("partitioned")  # in flight
+        # In flight when the partition starts.
+        [(lease, shard)] = coordinator.request_leases("partitioned", 1)
         flaky.partition(1000)  # the network goes away
         stats = partitioned.run()
         assert stats == {"leases": 0, "completed": 0, "stale": 0,
@@ -448,8 +457,8 @@ class TestFaultInjection:
         coordinator = coordinator_factory(lease_timeout=60.0)
         campaign_id, _, paths = submit_fake(coordinator, tmp_path, 12, 6)
         for generation in range(3):
-            coordinator.request_lease(f"doomed-{generation}-a")
-            coordinator.request_lease(f"doomed-{generation}-b")
+            coordinator.request_leases(f"doomed-{generation}-a", 1)
+            coordinator.request_leases(f"doomed-{generation}-b", 1)
             fake_clock.advance(61)
         scripted_worker(coordinator, "survivor").run()
         progress = coordinator.campaign_progress(campaign_id)
@@ -463,7 +472,7 @@ class TestFaultInjection:
                                             name="alpha")
         second, _, second_paths = submit_fake(coordinator, tmp_path, 6, 3,
                                               name="beta")
-        coordinator.request_lease("victim")  # one span of alpha, killed
+        coordinator.request_leases("victim", 1)  # one span of alpha, killed
         fake_clock.advance(61)
         scripted_worker(coordinator, "survivor").run()
         assert coordinator.campaign_progress(first)["complete"]
@@ -477,7 +486,7 @@ class TestFaultInjection:
 def _killed_worker_scenario(coordinator, clock, log, tmp_path):
     """A worker takes a lease and dies; a survivor drains the campaign."""
     submit_fake(coordinator, tmp_path, 10, 5)
-    coordinator.request_lease("victim")
+    coordinator.request_leases("victim", 1)
     clock.advance(61)
     scripted_worker(coordinator, "survivor", log=log).run()
 
@@ -485,7 +494,7 @@ def _killed_worker_scenario(coordinator, clock, log, tmp_path):
 def _duplicated_completion_scenario(coordinator, clock, log, tmp_path):
     """A retry loop re-sends one completion three times."""
     submit_fake(coordinator, tmp_path, 9, 4)
-    lease, shard = coordinator.request_lease("dup")
+    [(lease, shard)] = coordinator.request_leases("dup", 1)
     document = scripted_executor(shard)
     assert coordinator.complete_lease(lease.lease_id, document) is True
     for _ in range(3):
@@ -500,7 +509,7 @@ def _partition_scenario(coordinator, clock, log, tmp_path):
     flaky = FlakyClient(InProcessClient(coordinator))
     partitioned = scripted_worker(coordinator, "partitioned", client=flaky,
                                   max_idle_polls=10, log=log)
-    coordinator.request_lease("partitioned")
+    coordinator.request_leases("partitioned", 1)
     flaky.partition(1000)
     partitioned.run()
     clock.advance(61)
@@ -671,10 +680,8 @@ class TestLeaseLifecycleProperties:
             held = []  # (lease, shard) grants this test still "owns"
             for op, salt in script:
                 if op == "grant":
-                    granted = coordinator.request_lease(
-                        f"w{salt % worker_count}")
-                    if granted is not None:
-                        held.append(granted)
+                    held.extend(coordinator.request_leases(
+                        f"w{salt % worker_count}", 1))
                 elif op == "complete" and held:
                     lease, shard = held.pop(salt % len(held))
                     coordinator.complete_lease(lease.lease_id,
@@ -684,19 +691,19 @@ class TestLeaseLifecycleProperties:
                     coordinator.tick()
                 elif op == "heartbeat" and held:
                     lease, _ = held[salt % len(held)]
-                    coordinator.heartbeat(lease.lease_id)
+                    coordinator.heartbeat_many([lease.lease_id])
                 assert_span_partition(coordinator)
                 assert_metrics_match_status(coordinator)
 
             # Drain: an honest worker finishes whatever the script left.
             for _ in range(10 * shard_count + 10):
-                granted = coordinator.request_lease("drain")
-                if granted is None:
+                granted = coordinator.request_leases("drain", 1)
+                if not granted:
                     if coordinator.is_idle:
                         break
                     clock.advance(61)  # everything left is leased: steal it
                     continue
-                lease, shard = granted
+                [(lease, shard)] = granted
                 coordinator.complete_lease(lease.lease_id,
                                            scripted_executor(shard))
                 assert_span_partition(coordinator)
@@ -760,7 +767,7 @@ class TestDifferentialRealExecution:
                                 json_path=str(json_path),
                                 csv_path=str(csv_path))
         try:
-            coordinator.request_lease("w0")  # w0 dies holding this lease
+            coordinator.request_leases("w0", 1)  # w0 dies holding this lease
             clock.advance(61)
             for index in range(1, 7):
                 worker = CampaignWorker(InProcessClient(coordinator),
@@ -798,7 +805,7 @@ class TestDifferentialRealExecution:
                                 json_path=str(json_path),
                                 csv_path=str(csv_path))
         try:
-            coordinator.request_lease("victim")
+            coordinator.request_leases("victim", 1)
             clock.advance(61)
             for index in range(3):
                 CampaignWorker(InProcessClient(coordinator), f"w{index}",
@@ -827,11 +834,24 @@ def live_server():
     coordinator.close()
 
 
+def session_worker(port: int, name: str) -> threading.Thread:
+    """A worker thread over its own session, closed when the loop ends."""
+    session = CoordinatorSession(port=port)
+    worker = CampaignWorker(session, name, poll_interval=0.01,
+                            max_idle_polls=3)
+
+    def run():
+        with session:
+            worker.run()
+
+    return threading.Thread(target=run)
+
+
 class TestSocketProtocol:
     def test_two_tcp_workers_drain_a_real_campaign(self, live_server,
                                                    tmp_path):
         coordinator, server = live_server
-        client = CoordinatorClient(port=server.port)
+        client = CoordinatorSession(port=server.port)
         campaign = campaign_from_axes(AXES, base=BASE)
         json_path = tmp_path / "coord.json"
         mono_json = tmp_path / "mono.json"
@@ -839,12 +859,8 @@ class TestSocketProtocol:
         campaign_id = client.submit(
             [job_to_dict(job) for job in campaign.jobs()], 4,
             label="tcp", json_path=str(json_path))
-        threads = [
-            threading.Thread(target=CampaignWorker(
-                CoordinatorClient(port=server.port), f"tcp-w{index}",
-                poll_interval=0.01, max_idle_polls=3).run)
-            for index in range(2)
-        ]
+        threads = [session_worker(server.port, f"tcp-w{index}")
+                   for index in range(2)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -852,19 +868,21 @@ class TestSocketProtocol:
         progress = client.campaign_progress(campaign_id)
         assert progress["complete"]
         status = client.status()
+        client.close()
         assert status["completed_spans"] == 4
         assert json_path.read_bytes() == mono_json.read_bytes()
 
     def test_protocol_errors_are_reported_not_fatal(self, live_server):
         coordinator, server = live_server
-        client = CoordinatorClient(port=server.port)
-        with pytest.raises(CoordinatorError, match="unknown op"):
-            client.call({"op": "bogus"})
-        with pytest.raises(CoordinatorError, match="unknown lease"):
-            client.heartbeat(12345)
-        # The server survives malformed traffic and still answers.
-        assert client.status()["coordinator_schema_version"] == \
-            COORDINATOR_SCHEMA_VERSION
+        with CoordinatorSession(port=server.port) as client:
+            with pytest.raises(CoordinatorError, match="unknown op"):
+                client.call({"op": "bogus"})
+            with pytest.raises(CoordinatorError, match="unknown lease"):
+                client.complete(12345, {"rows": []})
+            # The server survives bad requests and still answers on the
+            # same session.
+            assert client.status()["coordinator_schema_version"] == \
+                COORDINATOR_SCHEMA_VERSION
 
     def test_metrics_endpoint_under_concurrent_scrapes(self, live_server,
                                                        tmp_path,
@@ -891,17 +909,13 @@ class TestSocketProtocol:
             except Exception as error:  # pragma: no cover - failure path
                 failures.append(error)
 
-        client = CoordinatorClient(port=server.port)
+        client = CoordinatorSession(port=server.port)
         json_path = tmp_path / "coord.json"
         client.submit([job_to_dict(job)
                        for job in monolithic_reference["jobs"]], 4,
                       label="scraped", json_path=str(json_path))
-        workers = [
-            threading.Thread(target=CampaignWorker(
-                CoordinatorClient(port=server.port), f"scrape-w{index}",
-                poll_interval=0.01, max_idle_polls=3).run)
-            for index in range(2)
-        ]
+        workers = [session_worker(server.port, f"scrape-w{index}")
+                   for index in range(2)]
         scrapers = [threading.Thread(target=scraper, args=(bucket,))
                     for bucket in scrapes.values()]
         try:
@@ -927,6 +941,7 @@ class TestSocketProtocol:
                         assert later.get(key, 0) >= value, \
                             f"counter {key} went backwards"
         status = client.status()
+        client.close()
         assert status["completed_spans"] == 4
         spans_key = ("coordinator_spans_completed_total", ())
         assert final[spans_key] == status["completed_spans"]
@@ -940,17 +955,74 @@ class TestSocketProtocol:
         import time
 
         coordinator, server = live_server
-        client = CoordinatorClient(port=server.port, timeout=5.0)
-        client.shutdown()
+        with CoordinatorSession(port=server.port, timeout=5.0) as client:
+            client.shutdown()
         assert coordinator.draining
         # The drained coordinator grants nothing, and the serving loop
         # closes its listening socket shortly after answering.
-        assert coordinator.request_lease("late") is None
+        assert coordinator.request_leases("late", 1) == []
         for _ in range(100):
             try:
-                client.status()
+                with CoordinatorSession(port=server.port,
+                                        timeout=5.0) as probe:
+                    probe.status()
             except OSError:
                 break
             time.sleep(0.05)
         else:
             pytest.fail("server kept answering after the shutdown op")
+
+    def test_shutdown_reply_is_written_before_serving_stops(
+            self, monkeypatch):
+        """Regression: the shutdown op used to start stopping the server
+        before its reply was written, so ``serve`` could exit first and the
+        client saw "closed the connection without a response".  Each round
+        runs a fresh server whose serving thread, once ``serve_forever``
+        returns, drops every accepted connection — what the exit of a
+        ``serve`` process does — while the reply write is slowed down, as
+        on a loaded host.  The reply must arrive every time."""
+        import socket
+
+        from repro.explore import coordinator as coordinator_module
+
+        encode = coordinator_module.encode_json_frame
+
+        def slow_ack(response):
+            if response == {"ok": True}:  # only the shutdown reply
+                threading.Event().wait(0.05)
+            return encode(response)
+
+        monkeypatch.setattr(coordinator_module, "encode_json_frame",
+                            slow_ack)
+        for _ in range(20):
+            coordinator = Coordinator(lease_timeout=600.0)
+            server = CoordinatorServer(coordinator)
+            accepted = []
+            process_request = server.process_request
+
+            def track(request, client_address):
+                accepted.append(request)
+                process_request(request, client_address)
+
+            server.process_request = track
+
+            def serve_then_exit():
+                server.serve_forever(poll_interval=0.005)
+                for connection in accepted:
+                    try:
+                        connection.shutdown(socket.SHUT_RDWR)
+                    except OSError:
+                        pass
+
+            thread = threading.Thread(target=serve_then_exit, daemon=True)
+            thread.start()
+            try:
+                with CoordinatorSession(port=server.port,
+                                        timeout=5.0) as client:
+                    client.shutdown()
+                assert coordinator.draining
+            finally:
+                thread.join(timeout=5.0)
+                server.server_close()
+                coordinator.close()
+            assert not thread.is_alive()

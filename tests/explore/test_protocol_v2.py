@@ -7,15 +7,18 @@ Four layers of evidence that the fast data plane is also a *correct* one:
   and shows every truncation/corruption is rejected with a clear error,
   never half-decoded;
 * wire regressions — a live server answers malformed/oversized frames and
-  preambles with structured ``{"ok": false}`` errors plus a
+  any preamble other than ``RXP2`` (hypothesis-drawn bytes, a former v1
+  JSON line) with structured ``{"ok": false}`` errors plus a
   ``coordinator_protocol_errors_total`` tick instead of silently dropping
-  the connection, and a framed session survives its own bad frame;
+  the connection, a framed session survives its own bad frame, and the
+  server keeps serving the next session;
 * batching semantics — multi-span leases, coalesced heartbeats, and the
   delta-merged per-worker RTT histograms in the coordinator registry;
 * differentials — columnar-payload campaigns over real sockets are
   byte-identical to JSON-payload ones and to the monolithic run at 1/2/4
-  workers with one worker killed mid-lease, and a partitioned worker
-  reconnects with bounded exponential backoff instead of abandoning work.
+  workers with one worker killed mid-lease (each encoding forced through
+  ``SESSION_BLOCK_MIN_ROWS``), and a partitioned worker reconnects with
+  bounded exponential backoff instead of abandoning work.
 """
 
 import io
@@ -25,9 +28,10 @@ import struct
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from repro.explore import coordinator as coordinator_module
 from repro.explore.campaign import campaign_from_axes
 from repro.explore.coordinator import (
     FRAME_KIND_BLOCK,
@@ -35,7 +39,6 @@ from repro.explore.coordinator import (
     MAX_FRAME_BYTES,
     PROTOCOL_MAGIC,
     Coordinator,
-    CoordinatorClient,
     CoordinatorError,
     CoordinatorServer,
     CoordinatorSession,
@@ -50,6 +53,7 @@ from repro.explore.distrib import job_to_dict, plan_shards
 from repro.explore.metrics import LATENCY_BUCKETS, MetricsRegistry
 from repro.explore.scenarios import ScenarioSpec
 from repro.explore.store import (
+    COLUMN_KINDS,
     StoreError,
     decode_shard_block,
     encode_shard_block,
@@ -160,10 +164,27 @@ def shard_documents(draw):
     }
 
 
+#: Drawn scalar kind -> the declared column kinds that hold it losslessly.
+_FITS = {"int": ("int", "float"), "float": ("float",), "bool": ("bool",),
+         "str": ("str",)}
+
+
+def schema_clash(document) -> bool:
+    """A column named like a schema column (``COLUMN_KINDS``) was drawn
+    with a kind its declared dtype cannot hold losslessly."""
+    return any(name in COLUMN_KINDS
+               and COLUMN_KINDS[name] not in _FITS[type(value).__name__]
+               for name, value in document["rows"][0].items())
+
+
 class TestShardBlockCodec:
     @settings(max_examples=80, deadline=None)
     @given(document=shard_documents())
     def test_round_trip_is_json_identical(self, document):
+        if schema_clash(document):
+            with pytest.raises(StoreError, match="is declared"):
+                encode_shard_block(document)
+            return
         block = decode_shard_block(encode_shard_block(document))
         assert block.row_count == document["row_count"]
         assert json.dumps(block.document(), sort_keys=False) == \
@@ -172,6 +193,7 @@ class TestShardBlockCodec:
     @settings(max_examples=60, deadline=None)
     @given(document=shard_documents(), data=st.data())
     def test_any_truncation_is_rejected(self, document, data):
+        assume(not schema_clash(document))  # refused before encoding
         encoded = encode_shard_block(document)
         cut = data.draw(st.integers(min_value=0, max_value=len(encoded) - 1))
         with pytest.raises(StoreError):
@@ -180,6 +202,7 @@ class TestShardBlockCodec:
     @settings(max_examples=60, deadline=None)
     @given(document=shard_documents(), data=st.data())
     def test_corrupt_archive_bytes_are_rejected(self, document, data):
+        assume(not schema_clash(document))  # refused before encoding
         encoded = bytearray(encode_shard_block(document))
         header_len = struct.unpack_from(">I", encoded, 4)[0]
         archive_start = 4 + 4 + header_len
@@ -199,6 +222,15 @@ class TestShardBlockCodec:
         # identical arrays; silent corruption is the one forbidden outcome.
         assert json.dumps(block.document(), sort_keys=False) == \
             json.dumps(document, sort_keys=False)
+
+    @pytest.mark.parametrize("value", [False, "", 9.223372036854776e18])
+    def test_schema_column_of_a_foreign_kind_is_refused(self, value):
+        # "worker" is a schema int column: a bool used to be coerced to 0
+        # silently, a str or a huge float to escape as a non-store error.
+        document = {"columns": ["worker"], "row_count": 1,
+                    "rows": [{"worker": value}]}
+        with pytest.raises(StoreError, match="'worker' is declared int"):
+            encode_shard_block(document)
 
     def test_defects_are_named(self):
         document = scripted_executor(plan_shards(fake_jobs(4), 2)[0])
@@ -245,28 +277,48 @@ def raw_connect(server):
     return connection
 
 
-class TestProtocolErrors:
-    def expect_error_line(self, connection, match):
+def assert_preamble_refused(coordinator, server, preamble: bytes) -> None:
+    """*preamble* gets exactly one structured error frame and a closed
+    connection, ``coordinator_protocol_errors_total`` rises by one, and the
+    server still serves the next framed session."""
+    before = coordinator.metrics.value("coordinator_protocol_errors_total")
+    with raw_connect(server) as connection:
+        connection.sendall(preamble)
+        connection.shutdown(socket.SHUT_WR)
         with connection.makefile("rb") as reader:
-            line = reader.readline()
-        response = json.loads(line)
-        assert response["ok"] is False
-        assert match in response["error"]
-        return response
+            kind, payload = read_frame(reader)
+            assert reader.read() == b""  # one answer, then closed
+    assert kind == FRAME_KIND_JSON
+    response = json.loads(payload)
+    assert response["ok"] is False
+    assert "unrecognized protocol preamble" in response["error"]
+    assert coordinator.metrics.value(
+        "coordinator_protocol_errors_total") == before + 1
+    with CoordinatorSession(port=server.port, timeout=10.0) as session:
+        assert session.status()["protocol_errors"] == before + 1
+
+
+class TestProtocolErrors:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(preamble=b'{"op": "status"}\n')  # a former v1 request line
+    @example(preamble=PROTOCOL_MAGIC[:3])
+    @given(preamble=st.binary(min_size=1, max_size=64).filter(
+        lambda data: not data.startswith(PROTOCOL_MAGIC)))
+    def test_any_other_preamble_is_refused_and_serving_goes_on(
+            self, live_server, preamble):
+        coordinator, server = live_server
+        assert_preamble_refused(coordinator, server, preamble)
 
     def test_unknown_preamble_gets_structured_answer(self, live_server):
         coordinator, server = live_server
-        with raw_connect(server) as connection:
-            connection.sendall(b"GET / HTTP/1.1\r\n\r\n")
-            connection.shutdown(socket.SHUT_WR)
-            self.expect_error_line(connection, "unrecognized protocol")
+        assert_preamble_refused(coordinator, server,
+                                b"GET / HTTP/1.1\r\n\r\n")
         assert coordinator.status()["protocol_errors"] == 1
 
     def test_malformed_v1_json_gets_structured_answer(self, live_server):
         coordinator, server = live_server
-        with raw_connect(server) as connection:
-            connection.sendall(b'{"op": not-json\n')
-            self.expect_error_line(connection, "malformed JSON")
+        assert_preamble_refused(coordinator, server, b'{"op": not-json\n')
         assert coordinator.status()["protocol_errors"] == 1
 
     def test_oversized_frame_is_answered_then_closed(self, live_server):
@@ -499,9 +551,13 @@ def monolithic_reference(tmp_path_factory):
 class TestDifferentialColumnarPayloads:
     @pytest.mark.parametrize("worker_count", [1, 2, 4])
     def test_columnar_json_and_monolithic_agree_with_one_kill(
-            self, worker_count, tmp_path, monolithic_reference):
+            self, worker_count, tmp_path, monolithic_reference, monkeypatch):
         artifacts = {}
-        for payload in ("columnar", "json"):
+        # Every span ships as an RSB1 block, or every span as JSON rows.
+        for payload, block_min_rows in (("columnar", 0),
+                                        ("json", MAX_FRAME_BYTES)):
+            monkeypatch.setattr(coordinator_module, "SESSION_BLOCK_MIN_ROWS",
+                                block_min_rows)
             coordinator = Coordinator(lease_timeout=0.5)
             server = CoordinatorServer(coordinator)
             thread = threading.Thread(target=server.serve_forever,
@@ -512,21 +568,19 @@ class TestDifferentialColumnarPayloads:
             csv_path = tmp_path / f"{payload}.csv"
             try:
                 victim = CoordinatorSession(port=server.port)
-                submitter = CoordinatorClient(port=server.port)
+                submitter = CoordinatorSession(port=server.port)
                 submitter.submit(
                     [job_to_dict(job)
                      for job in monolithic_reference["jobs"]], 5,
                     json_path=str(json_path), csv_path=str(csv_path))
                 # The victim takes one lease and is never heard from again;
                 # the survivors pick the span up after the lease times out.
-                granted = victim.request_lease("victim")
-                assert "lease" in granted
+                granted = victim.request_leases("victim", 1)
+                assert len(granted["leases"]) == 1
                 victim.close()
                 workers = [
                     CampaignWorker(
-                        CoordinatorSession(port=server.port,
-                                           json_payloads=payload == "json",
-                                           block_min_rows=0),
+                        CoordinatorSession(port=server.port),
                         f"{payload}-w{index}", poll_interval=0.05,
                         max_idle_polls=40, prefetch=2)
                     for index in range(worker_count)
@@ -538,6 +592,9 @@ class TestDifferentialColumnarPayloads:
                 for worker_thread in threads:
                     worker_thread.join(timeout=60.0)
                 status = submitter.status()
+                submitter.close()
+                for worker in workers:
+                    worker.client.close()
                 assert status["completed_spans"] == 5
                 assert status["steals"] == 1
                 artifacts[payload] = (json_path.read_bytes(),
