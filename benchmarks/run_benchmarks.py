@@ -29,8 +29,11 @@ Measures the performance-critical layers of the stack:
 
 Each benchmark writes ``BENCH_<name>.json`` with the measured numbers under a
 run label (``--label``).  Passing ``--baseline-dir`` merges previously
-recorded numbers into the same document and computes speedups, which is how
-the checked-in artifacts record the before/after trajectory of a PR::
+recorded numbers into the same document, which is how the checked-in
+artifacts record the before/after trajectory of a PR.  No ratio between runs
+is written: runs may come from different workloads (``--quick``) or hosts,
+and ``check_regression.py`` compares only runs with equal ``workload``
+blocks::
 
     # on the old tree
     python benchmarks/run_benchmarks.py --label baseline --out /tmp/bench
@@ -1488,7 +1491,7 @@ BENCHMARKS = {
     "metrics": bench_metrics,
 }
 
-#: Headline metric of each benchmark (used for the speedup summary).
+#: Headline metric of each benchmark.
 HEADLINE = {
     "kernel": "timeout_dispatch_per_second",
     "tracing": "enabled_appends_per_second",
@@ -1533,12 +1536,6 @@ def write_document(out_dir: Path, name: str, label: str, result: dict,
             baseline = json.loads(baseline_path.read_text())
             document["runs"].update(baseline.get("runs", {}))
     document["runs"][label] = result
-    headline = HEADLINE[name]
-    if "baseline" in document["runs"] and label != "baseline":
-        base = document["runs"]["baseline"].get(headline)
-        new = result.get(headline)
-        if base and new:
-            document["speedup"] = round(new / base, 2)
     path.write_text(json.dumps(document, indent=2, sort_keys=False) + "\n")
     return path
 

@@ -13,7 +13,7 @@ from typing import Union
 from repro.kernel.channel import Channel
 from repro.kernel.event import Event
 from repro.kernel.module import Module
-from repro.kernel.simtime import SimTime, cycles_to_time
+from repro.kernel.simtime import SimTime
 from repro.kernel.simulator import Simulator
 
 
@@ -49,7 +49,10 @@ class Clock(Channel):
 
     def cycles(self, count: int) -> SimTime:
         """Duration of *count* clock cycles."""
-        return cycles_to_time(count, self.period)
+        # cycles_to_time inlined: the period is already a SimTime.
+        if count < 0:
+            raise ValueError("cycle count cannot be negative")
+        return SimTime(count * self.period.femtoseconds)
 
     def cycles_between(self, start: SimTime, end: SimTime) -> int:
         """Number of full clock cycles between two points in time."""

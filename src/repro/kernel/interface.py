@@ -22,16 +22,18 @@ class Interface:
 
         Every public method declared on the interface subclass (excluding the
         ones inherited from :class:`Interface` itself) is considered part of
-        the contract.
+        the contract.  The contract is computed once per class and cached in
+        that class's own ``__dict__`` (never inherited by a subclass); each
+        call returns a fresh list.
         """
-        methods = []
-        for name, member in inspect.getmembers(cls, predicate=callable):
-            if name.startswith("_"):
-                continue
-            if hasattr(Interface, name):
-                continue
-            methods.append(name)
-        return sorted(methods)
+        cached = cls.__dict__.get("_required_methods")
+        if cached is None:
+            cached = tuple(sorted(
+                name for name, member in inspect.getmembers(cls, predicate=callable)
+                if not name.startswith("_") and not hasattr(Interface, name)
+            ))
+            cls._required_methods = cached
+        return list(cached)
 
     @classmethod
     def is_implemented_by(cls, obj) -> bool:

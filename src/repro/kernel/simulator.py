@@ -1,26 +1,21 @@
 """The discrete-event scheduler.
 
-The kernel uses a hybrid three-tier event store instead of a single binary
-heap:
+The kernel uses a two-tier event store instead of a single binary heap:
 
 * a **deque fast lane** for activations at the current timestamp (delta
   cycles and zero-delay notifications join the running drain in O(1) with no
   comparisons at all),
-* a **hashed timing wheel** for near-future activations: one bucket per
-  exact timestamp, rotated by a min-heap of *integer* bucket times.  Pushing
-  into an existing bucket is a dict hit plus a list append; the heap is only
+* **exact-time buckets** for every later activation: one bucket per exact
+  timestamp, rotated by a min-heap of *integer* bucket times.  Pushing into
+  an existing bucket is a dict hit plus a list append; the heap is only
   touched once per distinct timestamp, so clock-period-sized Timeouts — the
   dominant event class of the TLM models — cost O(1) amortized instead of
-  O(log n) Python-level entry comparisons,
-* a **far-future overflow heap** for entries beyond the wheel horizon, which
-  keeps the bucket-time heap small when a model schedules sparse long-range
-  events.  The horizon advances (and overflow entries cascade into buckets)
-  only when the near store drains.
+  O(log n) Python-level entry comparisons.
 
-Determinism is bit-identical to the heap scheduler it replaced: entries carry
-a global sequence number, buckets are appended to in sequence order, and the
-overflow heap orders ties by sequence, so simultaneous activations always run
-in exact FIFO-per-timestamp order.
+Determinism is bit-identical to a plain binary heap of ``(time, sequence)``:
+the lane and every bucket are appended to in scheduling order, so
+simultaneous activations always run in exact FIFO-per-timestamp order,
+however far in the future they lie.
 """
 
 from __future__ import annotations
@@ -38,23 +33,16 @@ from repro.kernel.simtime import SimTime
 class _QueueEntry:
     """An entry in the event store.
 
-    Entries are ordered by time first and by insertion order second so that
-    simultaneous activations run in a deterministic (FIFO) order.
+    Its timestamp is the key of the bucket holding it, and its place in that
+    bucket is its scheduling order, so the entry itself stores neither.
     """
 
-    __slots__ = ("time_fs", "sequence", "action", "value", "cancelled")
+    __slots__ = ("action", "value", "cancelled")
 
-    def __init__(self, time_fs: int, sequence: int, action, value):
-        self.time_fs = time_fs
-        self.sequence = sequence
+    def __init__(self, action, value):
         self.action = action
         self.value = value
         self.cancelled = False
-
-    def __lt__(self, other):
-        if self.time_fs != other.time_fs:
-            return self.time_fs < other.time_fs
-        return self.sequence < other.sequence
 
 
 class Simulator:
@@ -74,26 +62,16 @@ class Simulator:
     #: (the rebuild would cost more than it frees).
     _COMPACT_MIN_QUEUE = 64
 
-    #: Width of the timing wheel's near-future window.  Entries scheduled
-    #: beyond ``now + span`` overflow into the far-future heap and cascade
-    #: into wheel buckets as the horizon advances.  2**44 fs ~ 17.6 ms of
-    #: simulated time — generous for clock-period-sized delays.
-    _WHEEL_SPAN_FS = 1 << 44
-
     def __init__(self, name: str = "sim"):
         self.name = name
         #: Fast lane: activations at the timestamp currently being drained.
         self._lane = deque()
         self._lane_time = -1
-        #: Timing wheel: exact-timestamp buckets plus their rotation heap.
+        #: Exact-timestamp buckets plus their rotation heap.
         self._buckets = {}
         self._bucket_times: List[int] = []
-        #: Far-future overflow (beyond the wheel horizon).
-        self._far: List[_QueueEntry] = []
-        self._horizon = self._WHEEL_SPAN_FS
-        #: Total entries across all three tiers, including cancelled ones.
+        #: Total entries across both tiers, including cancelled ones.
         self._entry_count = 0
-        self._sequence = 0
         self._now_fs = 0
         self._running = False
         self._processes: List[Process] = []
@@ -131,15 +109,14 @@ class Simulator:
         else:
             delay_fs = SimTime.coerce(delay).femtoseconds
         time_fs = self._now_fs + delay_fs
-        entry = _QueueEntry(time_fs, self._sequence, action, value)
-        self._sequence += 1
+        entry = _QueueEntry(action, value)
         self._pending_count += 1
         self._entry_count += 1
         if time_fs == self._lane_time:
             # Delta activation at the timestamp being drained: join the
             # running drain through the fast lane (no heap, no comparisons).
             self._lane.append(entry)
-        elif time_fs < self._horizon:
+        else:
             buckets = self._buckets
             bucket = buckets.get(time_fs)
             if bucket is None:
@@ -147,8 +124,6 @@ class Simulator:
                 heapq.heappush(self._bucket_times, time_fs)
             else:
                 bucket.append(entry)
-        else:
-            heapq.heappush(self._far, entry)
         return entry
 
     def schedule_process(self, process: Process, delay=0, value=None) -> _QueueEntry:
@@ -184,13 +159,13 @@ class Simulator:
         return True
 
     def _compact(self) -> None:
-        """Drop cancelled entries from all tiers in one pass.
+        """Drop cancelled entries from both tiers in one pass.
 
         The fast lane is filtered in place: ``run()`` drains it with
         ``popleft``, so a cancellation from inside a dispatched action must
         not strand the running drain on a stale deque.
         """
-        # All three tiers are mutated in place: the run() drain holds local
+        # Both tiers are mutated in place: the run() drain holds local
         # aliases to them, and a cancellation from inside a dispatched action
         # must not strand the running drain on stale containers.
         lane = self._lane
@@ -208,30 +183,9 @@ class Simulator:
         buckets.update(survivors)
         self._bucket_times[:] = buckets
         heapq.heapify(self._bucket_times)
-        self._far[:] = [entry for entry in self._far if not entry.cancelled]
-        heapq.heapify(self._far)
-        self._entry_count = (len(lane) + len(self._far)
+        self._entry_count = (len(lane)
                              + sum(len(entries) for entries in buckets.values()))
         self._cancelled_count = 0
-
-    def _cascade_far(self) -> None:
-        """Advance the wheel horizon and move matured overflow entries into
-        buckets.  Called only when the lane and the wheel are empty, so the
-        migrated entries (popped in (time, sequence) order) seed fresh
-        buckets in FIFO order."""
-        far = self._far
-        self._horizon = far[0].time_fs + self._WHEEL_SPAN_FS
-        buckets = self._buckets
-        bucket_times = self._bucket_times
-        horizon = self._horizon
-        while far and far[0].time_fs < horizon:
-            entry = heapq.heappop(far)
-            bucket = buckets.get(entry.time_fs)
-            if bucket is None:
-                buckets[entry.time_fs] = [entry]
-                heapq.heappush(bucket_times, entry.time_fs)
-            else:
-                bucket.append(entry)
 
     @property
     def _queue(self) -> List[_QueueEntry]:
@@ -240,7 +194,6 @@ class Simulator:
         entries = list(self._lane)
         for time_fs in sorted(self._buckets):
             entries.extend(self._buckets[time_fs])
-        entries.extend(sorted(self._far))
         return entries
 
     def request_update(self, primitive) -> None:
@@ -291,9 +244,9 @@ class Simulator:
             raise DeadlockError("nothing is scheduled; simulation cannot advance")
         self._running = True
         # The drain below is the hottest loop of the whole stack, so the
-        # three tiers (and a few bound methods) are aliased into locals.
-        # _compact() and _cascade_far() mutate the containers in place, which
-        # keeps these aliases valid across compactions mid-drain.
+        # two tiers (and a few bound methods) are aliased into locals.
+        # _compact() mutates the containers in place, which keeps these
+        # aliases valid across compactions mid-drain.
         lane = self._lane
         lane_popleft = lane.popleft
         buckets = self._buckets
@@ -304,7 +257,7 @@ class Simulator:
         dispatched = 0
         try:
             while self._entry_count or self._update_requests:
-                # Earliest pending timestamp across the three tiers (the fast
+                # Earliest pending timestamp across the two tiers (the fast
                 # lane is only non-empty here when a previous run() aborted
                 # mid-drain with an exception).
                 if lane:
@@ -318,16 +271,12 @@ class Simulator:
                             break
                         heappop(bucket_times)  # stale: bucket already drained
                     if next_time is None:
-                        if self._far:
-                            self._cascade_far()
-                            next_time = bucket_times[0]
-                        else:
-                            next_time = self._now_fs  # update requests only
+                        next_time = self._now_fs  # update requests only
                 if limit_fs is not None and next_time > limit_fs:
                     self._now_fs = limit_fs
                     break
                 self._now_fs = next_time
-                # Pull the wheel bucket for this timestamp into the fast
+                # Pull the bucket for this timestamp into the fast
                 # lane; delta entries pushed during the drain join it there.
                 bucket = buckets.pop(next_time, None)
                 if bucket is not None:

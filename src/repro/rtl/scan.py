@@ -10,7 +10,7 @@ purely descriptive configurations for cores whose netlist is not modeled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple, Union
 
 from repro.rtl.netlist import Netlist
 
@@ -24,12 +24,19 @@ class ScanCell:
     position: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScanChain:
-    """An ordered list of scan cells sharing one scan-in/scan-out pair."""
+    """An ordered sequence of scan cells sharing one scan-in/scan-out pair.
+
+    ``cells`` is stored as a tuple, so a chain cannot change length after
+    a :class:`ScanConfiguration` has summed it.
+    """
 
     index: int
-    cells: List[ScanCell] = field(default_factory=list)
+    cells: Tuple[ScanCell, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "cells", tuple(self.cells))
 
     @property
     def length(self) -> int:
@@ -39,27 +46,49 @@ class ScanChain:
         return iter(self.cells)
 
 
-@dataclass
-class ScanConfiguration:
-    """The scan structure of a core as seen by the test infrastructure."""
+@dataclass(frozen=True)
+class DescribedScanChain:
+    """A chain of a core without a netlist: only its length and the index of
+    its first cell are stored.  Iterating yields the same :class:`ScanCell`
+    sequence an eagerly built chain would hold, named on demand."""
 
     core_name: str
-    chains: List[ScanChain] = field(default_factory=list)
+    index: int
+    length: int
+    first_cell: int
+
+    def __iter__(self):
+        prefix = f"{self.core_name}_sff_"
+        first = self.first_cell
+        for position in range(self.length):
+            yield ScanCell(name=f"{prefix}{first + position}",
+                           chain_index=self.index, position=position)
+
+
+@dataclass(frozen=True)
+class ScanConfiguration:
+    """The scan structure of a core as seen by the test infrastructure.
+
+    ``chains`` is stored as a tuple of immutable chains, so ``total_cells``
+    and ``max_chain_length`` are computed once at construction.
+    """
+
+    core_name: str
+    chains: Tuple[Union[ScanChain, DescribedScanChain], ...] = ()
+    total_cells: int = field(init=False, compare=False)
+    #: Longest chain; the number of shift cycles per scan load/unload.
+    max_chain_length: int = field(init=False, compare=False)
+
+    def __post_init__(self):
+        chains = tuple(self.chains)
+        lengths = [chain.length for chain in chains]
+        object.__setattr__(self, "chains", chains)
+        object.__setattr__(self, "total_cells", sum(lengths))
+        object.__setattr__(self, "max_chain_length", max(lengths, default=0))
 
     @property
     def chain_count(self) -> int:
         return len(self.chains)
-
-    @property
-    def total_cells(self) -> int:
-        return sum(chain.length for chain in self.chains)
-
-    @property
-    def max_chain_length(self) -> int:
-        """Longest chain; the number of shift cycles per scan load/unload."""
-        if not self.chains:
-            return 0
-        return max(chain.length for chain in self.chains)
 
     def shift_cycles_per_pattern(self) -> int:
         """Shift cycles needed to load one pattern (and unload the previous
@@ -84,7 +113,9 @@ class ScanConfiguration:
         """Create a descriptive configuration without an underlying netlist.
 
         Cells are distributed over the chains as evenly as possible, exactly
-        like :func:`insert_scan` does for real netlists.
+        like :func:`insert_scan` does for real netlists.  The chains are
+        :class:`DescribedScanChain` objects, so the cost is O(chain_count),
+        not O(total_cells).
         """
         if chain_count <= 0:
             raise ValueError("chain_count must be positive")
@@ -96,13 +127,10 @@ class ScanConfiguration:
         cell_index = 0
         for index in range(chain_count):
             length = base + (1 if index < remainder else 0)
-            cells = [
-                ScanCell(name=f"{core_name}_sff_{cell_index + position}",
-                         chain_index=index, position=position)
-                for position in range(length)
-            ]
+            chains.append(DescribedScanChain(core_name=core_name, index=index,
+                                             length=length,
+                                             first_cell=cell_index))
             cell_index += length
-            chains.append(ScanChain(index=index, cells=cells))
         return cls(core_name=core_name, chains=chains)
 
 
@@ -119,10 +147,13 @@ def insert_scan(netlist: Netlist, chain_count: int,
             f"cannot build {chain_count} chains from "
             f"{len(flip_flop_names)} flip-flops"
         )
-    chains = [ScanChain(index=i) for i in range(chain_count)]
+    cells: List[List[ScanCell]] = [[] for _ in range(chain_count)]
     for index, name in enumerate(flip_flop_names):
-        chain = chains[index % chain_count]
-        chain.cells.append(
-            ScanCell(name=name, chain_index=chain.index, position=len(chain.cells))
+        chain_index = index % chain_count
+        chain_cells = cells[chain_index]
+        chain_cells.append(
+            ScanCell(name=name, chain_index=chain_index, position=len(chain_cells))
         )
+    chains = [ScanChain(index=i, cells=chain_cells)
+              for i, chain_cells in enumerate(cells)]
     return ScanConfiguration(core_name=core_name or netlist.name, chains=chains)

@@ -1,12 +1,11 @@
-"""Differential tests: the hybrid timing-wheel scheduler against a model.
+"""Differential tests: the two-tier scheduler against a model.
 
-The kernel's three-tier event store (deque fast lane + hashed timing wheel +
-far-future overflow heap) must dispatch the exact same (time, FIFO-order)
-sequence as the plain binary-heap scheduler it replaced.  These tests drive
-both the kernel and a minimal reference heap with hypothesis-generated
-scripts of schedules and cancellations — including ``until`` boundaries and
-entries far enough out to cross the wheel horizon — and require identical
-dispatch logs.
+The kernel's event store (deque fast lane + exact-time buckets rotated by an
+integer heap) must dispatch the exact same (time, FIFO-order) sequence as a
+plain binary-heap scheduler.  These tests drive both the kernel and a
+minimal reference heap with hypothesis-generated scripts of schedules and
+cancellations — including ``until`` boundaries and entries far in the
+future — and require identical dispatch logs.
 """
 
 import heapq
@@ -53,8 +52,8 @@ class ReferenceScheduler:
 
 
 #: One scripted operation: (delay_fs, cancel_index_or_None).
-#: Delays span the delta fast lane (0), wheel buckets (small) and the
-#: far-future overflow (beyond Simulator._WHEEL_SPAN_FS).
+#: Delays span the delta fast lane (0), near buckets (small) and far-future
+#: buckets (2**44 fs and beyond, ~17.6 ms of simulated time).
 _DELAYS = st.one_of(
     st.just(0),
     st.integers(min_value=1, max_value=50),
@@ -154,13 +153,13 @@ def test_timeout_processes_match_reference_order(delays):
     assert kernel_log == reference.log
 
 
-def test_far_future_overflow_cascades_in_order():
-    """Entries beyond the wheel horizon dispatch in exact (time, seq) order."""
-    sim = KernelSimulator("cascade")
-    span = KernelSimulator._WHEEL_SPAN_FS
+def test_far_future_entries_dispatch_in_time_sequence_order():
+    """Entries far in the future dispatch in exact (time, seq) order."""
+    sim = KernelSimulator("far_future")
+    span = 1 << 44
     log = []
     # Interleave near, far and very-far entries, with same-time collisions
-    # across the horizon boundary.
+    # among the far ones.
     times = [span + 5, 10, span + 5, 3 * span, 10, span + 5, 2 * span + 7]
     for index, time_fs in enumerate(times):
         sim.schedule_callback(lambda t=time_fs, i=index: log.append((t, i)),
