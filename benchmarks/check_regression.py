@@ -17,6 +17,9 @@ to compare:
   ``bitwise_identical``, ...) get zero tolerance: once true in the baseline
   they must stay true.  These are the scale- and host-independent teeth of
   the check; the throughput tolerance mostly absorbs runner noise.
+* A gated baseline metric (directional, or a true invariant) that the
+  candidate no longer reports is a failure, not a silent pass: a renamed or
+  dropped measurement has to leave the checked-in baselines explicitly.
 
 The tolerance is multiplicative: with ``--tolerance 0.6`` a throughput may
 drop to 40% of baseline (and a wall time grow to 1/0.4 = 2.5x) before the
@@ -85,12 +88,24 @@ def pick_baseline_run(document: dict, workload: dict,
     return None
 
 
+def is_gated(path: str, value: object) -> bool:
+    """Whether a baseline metric constrains the candidate at all."""
+    if isinstance(value, bool):
+        return value
+    return isinstance(value, (int, float)) and value > 0 and \
+        metric_direction(path) is not None
+
+
 def compare_run(name: str, baseline: dict, candidate: dict,
                 tolerance: float) -> List[str]:
     """Regression messages for one benchmark (empty list: no regression)."""
-    failures = []
     baseline_metrics = dict(walk_metrics(baseline))
-    for path, new_value in walk_metrics(candidate):
+    candidate_metrics = dict(walk_metrics(candidate))
+    failures = [f"{name}: gated metric {path} is in the baseline but "
+                f"missing from the candidate"
+                for path, value in baseline_metrics.items()
+                if path not in candidate_metrics and is_gated(path, value)]
+    for path, new_value in candidate_metrics.items():
         old_value = baseline_metrics.get(path)
         if old_value is None:
             continue

@@ -15,9 +15,9 @@ Measures the performance-critical layers of the stack:
                   (estimated makespan / peak power) vs the greedy baseline,
 * ``campaign`` -- rows/second of the 50-scenario pool run (serial and
                   worker pool),
-* ``distrib``  -- shard planning/merge throughput of the distribution layer,
-* ``store``    -- columnar store vs dict-of-lists: streaming shard merge,
-                  vectorized Pareto ranking/pruning and store aggregation
+* ``distrib``  -- shard planning throughput of the distribution layer,
+* ``store``    -- the streaming shard merge of artifact files, plus columnar
+                  vs python Pareto ranking/pruning and store aggregation
                   on a >=100k-row synthetic campaign,
 * ``coordinator`` -- live-coordination overhead: lease/complete operation
                   throughput of the span queue, steal-path scan cost, and
@@ -41,8 +41,9 @@ blocks::
     python benchmarks/run_benchmarks.py --label after --out . \
         --baseline-dir /tmp/bench
 
-The script only uses public APIs, so it runs unchanged on older revisions
-(it adapts to either the record-object or the columnar tracer interface).
+The script only uses public APIs, so it runs unchanged on any revision that
+has them (it adapts to either the record-object or the columnar tracer
+interface).
 
 CI runs ``--quick`` as a smoke job and uploads the JSON as an artifact.
 """
@@ -438,19 +439,13 @@ def bench_campaign(scale: float, quick: bool = False) -> dict:
 
 
 def bench_distrib(scale: float) -> dict:
-    """Shard plan/serialize/merge overhead (the non-simulation cost of
-    distributing a campaign).
-
-    Uses synthetic outcomes so the numbers isolate the distribution layer:
-    planning a large job list into shards, JSON-round-tripping the shard
-    artifacts and merging them back.  Merge throughput (rows/second) is the
-    headline — it bounds how fast a coordinator can recombine a fleet's
-    results.
+    """Shard planning overhead (the non-simulation cost of distributing a
+    campaign): splitting a large job list into shards, including the
+    scenario-space fingerprint pass.  The merge is measured by ``store``,
+    which times the one merge path over shard artifact files.
     """
-    from repro.explore.campaign import CampaignJob, CampaignOutcome, CampaignRun
-    from repro.explore.distrib import (
-        ShardRun, merge_shard_documents, plan_shards,
-    )
+    from repro.explore.campaign import CampaignJob
+    from repro.explore.distrib import plan_shards
     from repro.explore.scenarios import ScenarioSpec
 
     jobs = []
@@ -460,42 +455,18 @@ def bench_distrib(scale: float) -> dict:
         jobs.append(CampaignJob(spec=spec, schedule="sequential"))
     shard_count = 8
 
-    def outcome(job, salt):
-        return CampaignOutcome(
-            spec=job.spec, schedule=job.schedule, phase_count=1, task_count=2,
-            estimated_cycles=1000 + salt, test_length_cycles=5000 + salt,
-            peak_tam_utilization=0.5, avg_tam_utilization=0.25,
-            peak_power=2.0, avg_power=1.0, simulated_activations=100 + salt,
-        )
-
     def run_plan():
         start = time.perf_counter()
         shards = plan_shards(jobs, shard_count)
         return time.perf_counter() - start, shards
 
     plan_wall, shards = _best_of(REPEATS, run_plan)
-
-    documents = []
-    for shard in shards:
-        run = CampaignRun(outcomes=[outcome(job, shard.start + i)
-                                    for i, job in enumerate(shard.jobs)])
-        documents.append(json.loads(json.dumps(
-            ShardRun(shard, run).as_document())))
-
-    def run_merge():
-        start = time.perf_counter()
-        merged = merge_shard_documents(documents)
-        return time.perf_counter() - start, merged
-
-    merge_wall, merged = _best_of(REPEATS, run_merge)
-    if merged["row_count"] != len(jobs):
-        raise AssertionError("merged row count diverged from the job list")
+    if sum(shard.job_count for shard in shards) != len(jobs):
+        raise AssertionError("shards do not tile the job list")
     return {
         "workload": {"jobs": len(jobs), "shards": shard_count},
         "plan_wall_seconds": round(plan_wall, 6),
         "plan_jobs_per_second": round(len(jobs) / plan_wall, 1),
-        "merge_wall_seconds": round(merge_wall, 6),
-        "merge_rows_per_second": round(len(jobs) / merge_wall, 1),
     }
 
 
@@ -544,15 +515,25 @@ def _synthetic_rows(start: int, stop: int) -> list:
     return rows
 
 
+def _write_expected_campaign(rows: list, path) -> None:
+    """The monolithic deterministic artifact of *rows*, written by the one
+    JSON artifact writer — the in-bench bitwise reference of every merge."""
+    from repro.explore.campaign import (
+        SCHEMA_VERSION, result_columns, write_json_artifact,
+    )
+    write_json_artifact({"schema_version": SCHEMA_VERSION,
+                         "columns": result_columns(deterministic=True),
+                         "row_count": len(rows), "rows": rows}, path)
+
+
 def bench_store(scale: float) -> dict:
-    """Columnar store vs the dict-of-lists path on a synthetic campaign.
+    """The shard merge plus columnar-vs-python analytics on a synthetic
+    campaign at >=100k rows (scale 1.0):
 
-    Four head-to-head measurements at >=100k rows (scale 1.0):
-
-    * *merge* — recombining shard documents into a persisted artifact:
-      ``merge_shard_documents`` + ``write_merged_json`` (in-memory row
-      concatenation, indented JSON dump) vs ``merge_documents_to_store``
-      (plan-validated typed column chunks),
+    * *merge* — ``merge_artifacts_to_store`` over shard artifact *files*,
+      the one merge path: every file is parsed once for validation and
+      once more for its rows (so the figure is not comparable to the
+      in-memory document merge that earlier records timed),
     * *pareto_ranks* — python peeling vs the vectorized dominator counting,
       on a round-sized sample of the (length, power) objective vectors,
     * *front_prune* — incremental python ``ParetoFront`` vs the
@@ -560,7 +541,8 @@ def bench_store(scale: float) -> dict:
     * *aggregate* — python per-row group-by vs the numpy ``summarize_store``.
 
     The merged store is additionally streamed back to JSON and compared
-    byte-for-byte against the dict-path artifact (``bitwise_identical``).
+    byte-for-byte against the expected monolithic artifact
+    (``bitwise_identical``).
     """
     import tempfile
     from pathlib import Path as _Path
@@ -568,14 +550,13 @@ def bench_store(scale: float) -> dict:
     from repro.explore.adaptive import (
         ParetoFront, dominates, pareto_front_mask, pareto_ranks,
     )
-    from repro.explore.campaign import SCHEMA_VERSION, result_columns
-    from repro.explore.distrib import (
-        DISTRIB_SCHEMA_VERSION, merge_shard_documents, shard_span,
-        write_merged_json,
+    from repro.explore.campaign import (
+        SCHEMA_VERSION, result_columns, write_json_artifact,
     )
+    from repro.explore.distrib import DISTRIB_SCHEMA_VERSION, shard_span
     from repro.explore.report import summarize_store
     from repro.explore.store import (
-        ColumnarStore, merge_documents_to_store, write_document_json,
+        ColumnarStore, merge_artifacts_to_store, write_document_json,
     )
 
     total = max(800, int(120_000 * scale))
@@ -596,32 +577,31 @@ def bench_store(scale: float) -> dict:
         })
 
     tmp = _Path(tempfile.mkdtemp(prefix="bench_store_"))
+    paths = []
+    for index, document in enumerate(documents):
+        paths.append(tmp / f"shard{index}.json")
+        write_json_artifact(document, paths[-1])
+    _write_expected_campaign(
+        [row for document in documents for row in document["rows"]],
+        tmp / "expected.json")
+    del documents
 
-    # -- merge: dict-of-lists vs columnar store
-    def run_dict_merge():
+    # -- merge: shard artifact files streamed into a columnar store
+    def run_merge():
         start = time.perf_counter()
-        merged = merge_shard_documents(documents)
-        write_merged_json(merged, tmp / "merged_dict.json")
-        return time.perf_counter() - start, merged
-
-    dict_wall, merged = _best_of(REPEATS, run_dict_merge)
-
-    def run_store_merge():
-        start = time.perf_counter()
-        store = merge_documents_to_store(documents, tmp / "merged.store")
+        store, _ = merge_artifacts_to_store(paths, tmp / "merged.store")
         return time.perf_counter() - start, store
 
-    store_wall, _ = _best_of(REPEATS, run_store_merge)
-    store = ColumnarStore.open(tmp / "merged.store")
-    if store.row_count != total or merged["row_count"] != total:
-        raise AssertionError("merge row counts diverged")
+    merge_wall, store = _best_of(REPEATS, run_merge)
+    if store.row_count != total:
+        raise AssertionError("merged row count diverged")
 
-    write_document_json(store, tmp / "merged_store.json")
-    bitwise = ((tmp / "merged_store.json").read_bytes()
-               == (tmp / "merged_dict.json").read_bytes())
+    write_document_json(store, tmp / "merged.json")
+    bitwise = ((tmp / "merged.json").read_bytes()
+               == (tmp / "expected.json").read_bytes())
     if not bitwise:
         raise AssertionError("store-regenerated JSON diverged from the "
-                             "dict-path artifact")
+                             "expected monolithic artifact")
 
     # -- pareto_ranks: python peeling vs vectorized dominator counting
     def ranks_python(vectors):
@@ -692,7 +672,7 @@ def bench_store(scale: float) -> dict:
     # workflow being "summarize an artifact somebody handed you").
     def run_py_aggregate():
         start = time.perf_counter()
-        with open(tmp / "merged_dict.json") as handle:
+        with open(tmp / "merged.json") as handle:
             document = json.load(handle)
         groups: dict = {}
         for row in document["rows"]:
@@ -728,11 +708,8 @@ def bench_store(scale: float) -> dict:
             "pareto_sample": sample, "repeats_best_of": REPEATS,
         },
         "merge": {
-            "dict_wall_seconds": round(dict_wall, 6),
-            "dict_rows_per_second": round(total / dict_wall, 1),
-            "store_wall_seconds": round(store_wall, 6),
-            "store_rows_per_second": round(total / store_wall, 1),
-            "speedup": round(dict_wall / store_wall, 2),
+            "artifact_wall_seconds": round(merge_wall, 6),
+            "artifact_rows_per_second": round(total / merge_wall, 1),
         },
         "pareto_ranks": {
             "python_wall_seconds": round(py_ranks_wall, 6),
@@ -755,9 +732,8 @@ def bench_store(scale: float) -> dict:
             "identical": True,
         },
         "bitwise_identical": bitwise,
-        "merge_speedup": round(dict_wall / store_wall, 2),
         "pareto_speedup": round(py_ranks_wall / np_ranks_wall, 2),
-        "store_merge_rows_per_second": round(total / store_wall, 1),
+        "artifact_merge_rows_per_second": round(total / merge_wall, 1),
     }
 
 
@@ -977,12 +953,13 @@ def bench_coordinator(scale: float) -> dict:
       comes back),
     * *stream* — rows/second through :class:`IncrementalShardMerge` fed in
       scrambled completion order, with the regenerated JSON compared
-      byte-for-byte against the dict-path artifact (``bitwise_identical``),
+      byte-for-byte against the expected monolithic artifact
+      (``bitwise_identical``),
     * *wire* — the same drain and a bulk-ingest campaign over real localhost
       sockets with the client in a subprocess (a real worker process): one
       framed session, ``prefetch`` span batching, pipelined completion
       flights, binary columnar payloads for bulk spans, with the campaign
-      artifact compared byte-for-byte against the dict-path merge
+      artifact compared byte-for-byte against the same expected artifact
       (``wire.bitwise_identical``).
     """
     import tempfile
@@ -997,8 +974,7 @@ def bench_coordinator(scale: float) -> dict:
         Coordinator, CoordinatorServer,
     )
     from repro.explore.distrib import (
-        DISTRIB_SCHEMA_VERSION, ShardRun, merge_shard_documents, plan_shards,
-        shard_span, write_merged_json,
+        DISTRIB_SCHEMA_VERSION, ShardRun, plan_shards, shard_span,
     )
     from repro.explore.scenarios import ScenarioSpec
     from repro.explore.store import IncrementalShardMerge, write_document_json
@@ -1112,13 +1088,13 @@ def bench_coordinator(scale: float) -> dict:
     stream_wall, store = _best_of(REPEATS, run_stream)
 
     write_document_json(store, tmp / "stream.json")
-    write_merged_json(merge_shard_documents(stream_documents),
-                      tmp / "merged_dict.json")
+    # Stream and wire ingest both carry the rows [0, total) in shard order.
+    _write_expected_campaign(_synthetic_rows(0, total), tmp / "expected.json")
     bitwise = ((tmp / "stream.json").read_bytes()
-               == (tmp / "merged_dict.json").read_bytes())
+               == (tmp / "expected.json").read_bytes())
     if not bitwise:
         raise AssertionError("streamed-merge JSON diverged from the "
-                             "dict-path artifact")
+                             "expected monolithic artifact")
 
     # -- wire: the same coordination work over real localhost sockets ------
     wire_prefetch = 16
@@ -1282,13 +1258,11 @@ print(json.dumps({"wall": wall, "completion_wall": completion,
 
     ingest_wall, ingest_artifact = _best_of(REPEATS, run_wire_ingest)
 
-    write_merged_json(merge_shard_documents(ingest_documents),
-                      tmp / "ingest_dict.json")
     wire_bitwise = (ingest_artifact.read_bytes()
-                    == (tmp / "ingest_dict.json").read_bytes())
+                    == (tmp / "expected.json").read_bytes())
     if not wire_bitwise:
         raise AssertionError("wire-ingested campaign JSON diverged from the "
-                             "dict-path artifact")
+                             "expected monolithic artifact")
 
     return {
         "workload": {
@@ -1498,8 +1472,8 @@ HEADLINE = {
     "lfsr": "word_bits_per_second",
     "schedule": "greedy_builds_per_second",
     "campaign": "pool_rows_per_second",
-    "distrib": "merge_rows_per_second",
-    "store": "store_merge_rows_per_second",
+    "distrib": "plan_jobs_per_second",
+    "store": "artifact_merge_rows_per_second",
     "surrogate": "batch_candidates_per_second",
     "coordinator": "lease_ops_per_second",
     "metrics": "instrumented_ops_per_second",

@@ -11,12 +11,12 @@
   engine: successive halving over budgets with Pareto-front pruning, with
   round-boundary checkpoints and mid-search resume from JSON artifacts
 * :mod:`repro.explore.distrib` -- the distribution subsystem: deterministic
-  shard planning, per-host shard execution and provenance-validated artifact
-  merging (merged == single-host, bitwise)
+  shard planning, per-host shard execution and provenance validation of
+  shard artifacts
 * :mod:`repro.explore.store` -- the columnar result store: typed numpy
-  column chunks with schema/provenance metadata, streaming shard merge and
-  streaming JSON/CSV writers that stay bitwise-identical to the in-memory
-  artifact writers
+  column chunks with schema/provenance metadata, the streaming shard merge
+  (merged == single-host, bitwise) and streaming JSON/CSV writers that stay
+  bitwise-identical to the campaign artifact writers
 * :mod:`repro.explore.coordinator` -- the live control plane: fair-share
   campaign queue, span leases over a localhost socket, heartbeats, work
   stealing and incremental streaming merge (coordinated == single-host,
@@ -81,8 +81,6 @@ from repro.explore.distrib import (
     MergePlan,
     ShardRun,
     load_artifact,
-    merge_artifacts,
-    merge_shard_documents,
     missing_shard_spans,
     plan_merge,
     plan_shards,
@@ -91,8 +89,6 @@ from repro.explore.distrib import (
     shard_span,
     space_fingerprint,
     validate_shard_result,
-    write_merged_csv,
-    write_merged_json,
 )
 from repro.explore.experiments import ScenarioResult, run_table1
 from repro.explore.report import (
@@ -121,7 +117,6 @@ from repro.explore.store import (
     IncrementalShardMerge,
     StoreError,
     merge_artifacts_to_store,
-    merge_documents_to_store,
     store_adaptive_result,
     store_campaign_run,
     store_shard_run,
@@ -187,10 +182,7 @@ __all__ = [
     "format_table1",
     "format_worker_stats",
     "load_artifact",
-    "merge_artifacts",
     "merge_artifacts_to_store",
-    "merge_documents_to_store",
-    "merge_shard_documents",
     "missing_shard_spans",
     "outcome_from_row",
     "pareto_front_mask",
@@ -216,6 +208,4 @@ __all__ = [
     "validate_shard_result",
     "write_document_csv",
     "write_document_json",
-    "write_merged_csv",
-    "write_merged_json",
 ]

@@ -47,22 +47,10 @@ determinism test pins down.  Pass ``deterministic=False`` to keep timings.
 Budget scaling only thins ``generated`` scenarios; ``jpeg``-kind specs carry
 their pattern volumes in the fixed test plan, so they run at full cost in
 every round (the search still prunes them on the observed objectives).
-
-Round sharding: every round's job list is plain
-:class:`~repro.explore.campaign.CampaignJob` data, so ``run(round_shards=N)``
-(CLI: ``adaptive --shard I/N``) executes each round through the distribution
-layer — :func:`~repro.explore.distrib.plan_shards` →
-:func:`~repro.explore.distrib.run_shard` →
-:func:`~repro.explore.distrib.merge_shard_documents` — and recombines the
-shard rows before selection.  Sharding is execution-only metadata (never
-serialized), so sharded, rotated and unsharded runs all write bitwise
-identical artifacts.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -83,11 +71,8 @@ from repro.explore.campaign import (
     execute_job_raced,
     outcome_from_row,
     run_jobs,
-)
-from repro.explore.distrib import (
-    merge_shard_documents,
-    plan_shards,
-    run_shard,
+    write_csv_artifact,
+    write_json_artifact,
 )
 from repro.explore.scenarios import (
     ScenarioGrid,
@@ -645,11 +630,6 @@ class AdaptiveResult:
     #: metadata only (reported, never serialized): a resumed run's final
     #: artifact stays bitwise identical to the uninterrupted run's.
     resumed_rounds: int = 0
-    #: Shards each round's job list was executed through (None: unsharded).
-    #: Run metadata only, never serialized: sharded rounds recombine through
-    #: the provenance-validated merger and stay bitwise identical to
-    #: unsharded rounds.
-    round_shards: Optional[int] = None
     #: The estimator pre-screening provenance (None: surrogate tier off).
     surrogate: Optional[SurrogateScreen] = None
     #: Whether in-round simulation racing was enabled.
@@ -728,18 +708,12 @@ class AdaptiveResult:
 
     def write_csv(self, path, deterministic: bool = True) -> None:
         """Write all rounds as CSV (campaign schema + provenance columns)."""
-        with open(path, "w", newline="") as handle:
-            writer = csv.DictWriter(
-                handle, fieldnames=self.columns(deterministic))
-            writer.writeheader()
-            writer.writerows(self.rows(deterministic))
+        write_csv_artifact(self.columns(deterministic),
+                           self.iter_rows(deterministic), path)
 
     def write_json(self, path, deterministic: bool = True) -> None:
         """Write a versioned JSON artifact with rows, rounds and the front."""
-        with open(path, "w") as handle:
-            json.dump(self.as_document(deterministic), handle, indent=2,
-                      sort_keys=False)
-            handle.write("\n")
+        write_json_artifact(self.as_document(deterministic), path)
 
     def as_document(self, deterministic: bool = True) -> Dict[str, object]:
         document = {
@@ -1018,60 +992,12 @@ class AdaptiveSearch:
             )
         return by_round
 
-    # -- per-round execution ------------------------------------------------
-    def _run_round_jobs(self, new_jobs: Sequence[CampaignJob], workers: int,
-                        mp_context: Optional[str],
-                        batch_size: Optional[int],
-                        round_shards: Optional[int],
-                        lead_shard: int) -> Tuple[List[CampaignOutcome], float]:
-        """Simulate one round's new jobs, optionally through shards.
-
-        With ``round_shards=N`` the round's job list — plain
-        :class:`CampaignJob` data, exactly like a campaign's — is planned
-        into ``N`` deterministic shards, each executed on the standard
-        worker-pool path, and the shard artifacts are recombined through the
-        provenance-validated merger before selection.  Execution starts at
-        ``lead_shard`` and wraps around; because the merger reorders by
-        shard index, the result is independent of that rotation and bitwise
-        identical to an unsharded round.  Sharded rounds rebuild outcomes
-        from deterministic artifact rows, so the timing/placement fields
-        (``cpu_seconds``/``worker``) are zeroed — the deterministic artifact
-        is unaffected.
-
-        Each shard runs through :func:`~repro.explore.distrib.run_shard`
-        with its own worker pool and per-shard batch sizing — deliberately
-        the exact code path (and cost profile) one host of a distributed
-        fleet would execute, at the price of ``N`` pool spawns per round on
-        a single machine.  Use the plain path when local wall-clock is the
-        only concern.
-        """
-        if round_shards is None or round_shards <= 1 or len(new_jobs) < 2:
-            run = run_jobs(list(new_jobs), workers=workers,
-                           mp_context=mp_context, batch_size=batch_size)
-            return run.outcomes, run.wall_seconds
-        count = min(round_shards, len(new_jobs))
-        shards = plan_shards(list(new_jobs), count)
-        wall_seconds = 0.0
-        documents: Dict[int, Mapping[str, object]] = {}
-        for offset in range(count):
-            index = (lead_shard + offset) % count
-            shard_run = run_shard(shards[index], workers=workers,
-                                  mp_context=mp_context,
-                                  batch_size=batch_size)
-            wall_seconds += shard_run.run.wall_seconds
-            documents[index] = shard_run.as_document()
-        merged = merge_shard_documents([documents[i] for i in range(count)])
-        outcomes = [outcome_from_row(row, job.spec)
-                    for row, job in zip(merged["rows"], new_jobs)]
-        return outcomes, wall_seconds
-
     # -- execution ----------------------------------------------------------
     def run(self, workers: int = 1, mp_context: Optional[str] = None,
             batch_size: Optional[int] = None,
             max_rounds: Optional[int] = None,
             resume_from: Optional[Mapping[str, object]] = None,
-            round_shards: Optional[int] = None,
-            lead_shard: int = 0) -> AdaptiveResult:
+            ) -> AdaptiveResult:
         """Run the search and return the collected result.
 
         ``max_rounds=k`` stops after *k* rounds at a round boundary; the
@@ -1083,26 +1009,9 @@ class AdaptiveSearch:
         Replay is validated against this search (budget ladder, candidate
         sets, survivor selection, simulation counters), so a mismatched or
         doctored artifact fails loudly instead of corrupting the search.
-
-        ``round_shards=N`` routes every round's job list through the
-        distribution layer (:func:`~repro.explore.distrib.plan_shards` →
-        :func:`~repro.explore.distrib.run_shard` →
-        :func:`~repro.explore.distrib.merge_shard_documents`, starting at
-        ``lead_shard``); results stay bitwise identical to an unsharded run
-        (see :meth:`_run_round_jobs`).
         """
         if max_rounds is not None and max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
-        if round_shards is not None and round_shards < 1:
-            raise ValueError("round_shards must be >= 1")
-        if round_shards is not None and not 0 <= lead_shard < round_shards:
-            raise ValueError(
-                f"lead_shard must be in [0, {round_shards}) "
-                f"for {round_shards} shard(s)")
-        if self.race and round_shards is not None and round_shards > 1:
-            raise ValueError(
-                "racing runs each round in-process against a shared "
-                "incumbent front; it cannot be combined with round shards")
         if self.race and workers > 1:
             raise ValueError(
                 "racing runs each round in-process against a shared "
@@ -1147,10 +1056,11 @@ class AdaptiveSearch:
                 round_outcomes, stopped_keys, wall_seconds = \
                     self._run_round_raced(jobs, evaluated)
             elif new_jobs:
-                outcomes, wall_seconds = self._run_round_jobs(
-                    new_jobs, workers, mp_context, batch_size,
-                    round_shards, lead_shard)
-                evaluated.update(zip(new_jobs, outcomes))
+                new_run = run_jobs(new_jobs, workers=workers,
+                                   mp_context=mp_context,
+                                   batch_size=batch_size)
+                wall_seconds = new_run.wall_seconds
+                evaluated.update(zip(new_jobs, new_run.outcomes))
             else:
                 wall_seconds = 0.0
             if round_outcomes is None:
@@ -1190,8 +1100,6 @@ class AdaptiveSearch:
             specs=list(self.specs), schedules_override=self.schedules,
             planned_rounds=len(budgets), complete=limit == len(budgets),
             resumed_rounds=resumed_rounds,
-            round_shards=(round_shards if round_shards
-                          and round_shards > 1 else None),
             surrogate=surrogate_screen, race=self.race,
         )
 
@@ -1257,9 +1165,7 @@ def _validate_resume_versions(document: Mapping[str, object]) -> None:
 def resume_search(document: Mapping[str, object], workers: int = 1,
                   mp_context: Optional[str] = None,
                   batch_size: Optional[int] = None,
-                  max_rounds: Optional[int] = None,
-                  round_shards: Optional[int] = None,
-                  lead_shard: int = 0) -> AdaptiveResult:
+                  max_rounds: Optional[int] = None) -> AdaptiveResult:
     """Continue an interrupted adaptive run from its JSON artifact document.
 
     Rebuilds the search from the artifact's embedded definition
@@ -1271,8 +1177,7 @@ def resume_search(document: Mapping[str, object], workers: int = 1,
     search = AdaptiveSearch.from_document(document)
     return search.run(workers=workers, mp_context=mp_context,
                       batch_size=batch_size, max_rounds=max_rounds,
-                      resume_from=document, round_shards=round_shards,
-                      lead_shard=lead_shard)
+                      resume_from=document)
 
 
 def adaptive_search_from_axes(axes, base: Optional[ScenarioSpec] = None,

@@ -92,6 +92,30 @@ def result_columns(deterministic: bool = False) -> List[str]:
     return list(RESULT_COLUMNS)
 
 
+def write_json_artifact(document: Mapping[str, object], path) -> None:
+    """Write *document* as a JSON artifact: ``indent=2`` in insertion key
+    order plus a trailing newline.
+
+    The one JSON writer of every campaign, shard, adaptive and re-plan
+    artifact — the byte format the bitwise-identity contracts compare (the
+    streaming :func:`repro.explore.store.write_document_json` reproduces it
+    without materializing the rows).
+    """
+    with open(path, "w") as handle:
+        json.dump(document, handle, indent=2, sort_keys=False)
+        handle.write("\n")
+
+
+def write_csv_artifact(columns: Sequence[str],
+                       rows: Iterable[Mapping[str, object]], path) -> None:
+    """Write *rows* as a CSV artifact with the header *columns* — the one
+    CSV writer of every artifact (*rows* may be a lazy iterator)."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(columns))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 @dataclass(frozen=True)
 class CampaignJob:
     """One unit of campaign work: a scenario simulated under one schedule."""
@@ -397,18 +421,12 @@ class CampaignRun:
         """Write the result rows as CSV (header = :data:`RESULT_COLUMNS`;
         deterministic mode drops the timing/placement columns, so the same
         seed produces bitwise-identical files)."""
-        with open(path, "w", newline="") as handle:
-            writer = csv.DictWriter(handle,
-                                    fieldnames=result_columns(deterministic))
-            writer.writeheader()
-            writer.writerows(self.rows(deterministic))
+        write_csv_artifact(result_columns(deterministic),
+                           self.rows(deterministic), path)
 
     def write_json(self, path, deterministic: bool = False) -> None:
         """Write a versioned JSON artifact with rows and run metadata."""
-        with open(path, "w") as handle:
-            json.dump(self.as_document(deterministic), handle, indent=2,
-                      sort_keys=False)
-            handle.write("\n")
+        write_json_artifact(self.as_document(deterministic), path)
 
     def as_document(self, deterministic: bool = False) -> Dict[str, object]:
         # Key order is part of the bitwise-identity contract: the shard

@@ -23,9 +23,10 @@ Usage::
 views and carry no schema guarantee.  ``campaign``, ``adaptive`` and
 ``merge`` additionally take ``--store DIR`` to persist the result rows as a
 columnar store (:mod:`repro.explore.store`: typed numpy column chunks plus a
-manifest); for ``merge`` the store *is* the merge path — shard artifacts
-stream in one at a time and ``--csv``/``--json`` are regenerated from the
-columns, byte-identical to the in-memory merge.
+manifest).  ``merge`` always streams through a store — shard artifacts are
+appended one at a time and ``--csv``/``--json`` are regenerated from the
+columns; without ``--store`` it uses a temporary directory that is removed
+afterwards.
 
 Schedule strategies: ``--strategy NAME[:key=val,...]`` (repeatable, on
 ``campaign`` and ``adaptive``) appends parameterized scheduler strategies
@@ -41,10 +42,7 @@ shard set: present shards merge, missing spans are reported on stderr, and
 ``--gaps`` writes the re-plan worklist covering only the gaps.  ``adaptive
 --max-rounds K`` checkpoints a search at a round boundary and ``adaptive
 --resume-from ART.json`` finishes it without re-simulating the completed
-rounds; ``adaptive --shard I/N`` routes every round's job list through the
-shard plan/run/merge machinery (executing all N shards locally, starting at
-shard I — round selection is global, so a single invocation needs every
-shard's rows) and stays bitwise-identical to an unsharded run.
+rounds.
 
 Live coordination: ``serve`` runs a long-lived coordinator
 (:mod:`repro.explore.coordinator`) on a localhost socket; ``work`` attaches
@@ -77,6 +75,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from typing import List, Optional
 
 from repro.explore.adaptive import (
@@ -87,7 +86,12 @@ from repro.explore.adaptive import (
     resume_search,
     surrogate_screen_candidates,
 )
-from repro.explore.campaign import CampaignJob, campaign_from_axes, run_jobs
+from repro.explore.campaign import (
+    CampaignJob,
+    campaign_from_axes,
+    run_jobs,
+    write_json_artifact,
+)
 from repro.explore.coordinator import (
     DEFAULT_LEASE_TIMEOUT,
     Coordinator,
@@ -97,12 +101,9 @@ from repro.explore.coordinator import (
 from repro.explore.distrib import (
     job_to_dict,
     load_artifact,
-    merge_shard_documents,
     plan_shards,
     replan_document,
     run_shard,
-    write_merged_csv,
-    write_merged_json,
 )
 from repro.explore.experiments import run_table1
 from repro.explore.metrics import MetricsServer, StructuredLog
@@ -120,7 +121,6 @@ from repro.explore.report import (
 )
 from repro.explore.worker import CampaignWorker
 from repro.explore.store import (
-    ColumnarStore,
     merge_artifacts_to_store,
     store_adaptive_result,
     store_campaign_run,
@@ -284,48 +284,39 @@ EXIT_REPLANNABLE_GAPS = 3
 
 
 def _run_merge(args) -> Optional[int]:
-    if args.store:
-        # Streaming path: validate headers, append one shard at a time to
-        # the columnar store, then regenerate artifacts chunk by chunk —
-        # bitwise identical to the in-memory merge, without ever holding
-        # the full row set.
+    # Validate headers, append one shard at a time to a columnar store (a
+    # temporary one unless --store names it), then regenerate the artifacts
+    # chunk by chunk — bitwise identical to the single-host run, without
+    # ever holding the full row set.
+    with tempfile.TemporaryDirectory(prefix="repro-merge-") as scratch:
         store, documents = merge_artifacts_to_store(
-            args.artifacts, args.store, partial=args.partial)
-        store = ColumnarStore.open(args.store)
+            args.artifacts, args.store or os.path.join(scratch, "store"),
+            partial=args.partial)
         merged = store.document_header
         merged["row_count"] = store.row_count
-    else:
-        store = None
-        documents = [load_artifact(path) for path in args.artifacts]
-        merged = merge_shard_documents(documents, partial=args.partial)
-    gaps = merged.get("partial", {}).get("missing", [])
-    for span in gaps:
-        print(f"missing shard {span['index']}/{merged['partial']['count']}: "
-              f"jobs [{span['start']}, {span['stop']})", file=sys.stderr)
-    print(format_merged(documents, merged))
-    if store is not None:
-        print(f"wrote {args.store}")
-        print()
-        print(format_store_summary(store))
-    if args.gaps:
-        if gaps:
-            write_merged_json(replan_document(merged), args.gaps)
-            print(f"wrote {args.gaps}")
-        else:
-            print("no gaps: complete shard set, no re-plan written",
-                  file=sys.stderr)
-    if args.csv:
-        if store is not None:
+        gaps = merged.get("partial", {}).get("missing", [])
+        for span in gaps:
+            print(f"missing shard {span['index']}/"
+                  f"{merged['partial']['count']}: "
+                  f"jobs [{span['start']}, {span['stop']})", file=sys.stderr)
+        print(format_merged(documents, merged))
+        if args.store:
+            print(f"wrote {args.store}")
+            print()
+            print(format_store_summary(store))
+        if args.gaps:
+            if gaps:
+                write_json_artifact(replan_document(merged), args.gaps)
+                print(f"wrote {args.gaps}")
+            else:
+                print("no gaps: complete shard set, no re-plan written",
+                      file=sys.stderr)
+        if args.csv:
             write_document_csv(store, args.csv)
-        else:
-            write_merged_csv(merged, args.csv)
-        print(f"wrote {args.csv}")
-    if args.json:
-        if store is not None:
+            print(f"wrote {args.csv}")
+        if args.json:
             write_document_json(store, args.json)
-        else:
-            write_merged_json(merged, args.json)
-        print(f"wrote {args.json}")
+            print(f"wrote {args.json}")
     if gaps:
         # All requested outputs were written (valid, marked partial); the
         # distinct status tells automation "re-plan and merge again" without
@@ -339,19 +330,10 @@ def _run_strategies(args) -> None:
 
 
 def _run_adaptive(args) -> None:
-    shards, lead = (None, 0) if args.shard is None else (args.shard[1],
-                                                         args.shard[0])
-    if shards is not None and args.timing:
-        # Sharded rounds rebuild outcomes from deterministic shard rows, so
-        # there are no timings to keep — warn instead of writing columns of
-        # plausible-looking zeros.
-        print("warning: --shard rebuilds outcomes from deterministic shard "
-              "rows; the --timing columns will read as zero", file=sys.stderr)
     if args.resume_from:
         result = resume_search(load_artifact(args.resume_from),
                                workers=args.workers,
-                               max_rounds=args.max_rounds,
-                               round_shards=shards, lead_shard=lead)
+                               max_rounds=args.max_rounds)
     else:
         objectives = (tuple(args.objectives) if args.objectives
                       else DEFAULT_OBJECTIVES)
@@ -360,8 +342,7 @@ def _run_adaptive(args) -> None:
             objectives=objectives, eta=args.eta, min_budget=args.min_budget,
             surrogate=args.surrogate, surrogate_keep=args.surrogate_keep,
             race=args.race)
-        result = search.run(workers=args.workers, max_rounds=args.max_rounds,
-                            round_shards=shards, lead_shard=lead)
+        result = search.run(workers=args.workers, max_rounds=args.max_rounds)
     print(format_adaptive(result))
     deterministic = not args.timing
     if args.store:
@@ -702,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "incumbent Pareto front and early-stop jobs "
                                "that provably cannot join it (requires the "
                                "default minimizing objectives; incompatible "
-                               "with --workers > 1 and --shard)")
+                               "with --workers > 1 and campaign --shard)")
         race.add_argument("--no-race", dest="race", action="store_false",
                           help="simulate every job to completion "
                                "(the default)")
@@ -732,11 +713,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(bitwise-identical to a single-host "
                             "deterministic run)")
     merge.add_argument("--store", default=None, metavar="DIR",
-                       help="merge through a columnar store directory: "
-                            "shards stream in one at a time (bounded "
-                            "memory) and --csv/--json are regenerated "
-                            "from the store, still bitwise-identical to "
-                            "the in-memory merge")
+                       help="keep the columnar store the merge streams "
+                            "through (default: a temporary directory); "
+                            "--csv/--json are regenerated from it")
     merge.add_argument("--partial", action="store_true",
                        help="accept an incomplete shard set: merge the "
                             "shards that exist, report missing spans on "
@@ -767,14 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "written by --max-rounds; the artifact defines "
                                "the search, so scenario-space/search flags "
                                "are ignored")
-    adaptive.add_argument("--shard", type=_shard_value, default=None,
-                          metavar="I/N",
-                          help="execute every round's job list as N "
-                               "deterministically planned shards through the "
-                               "shard plan/run/merge machinery, leading with "
-                               "shard I (all shards run locally: round "
-                               "selection needs every row; results are "
-                               "bitwise-identical to an unsharded run)")
     adaptive.set_defaults(handler=_run_adaptive)
 
     serve = subparsers.add_parser(

@@ -22,17 +22,22 @@ problem.  This module is the distribution subsystem the ROADMAP left open:
   :func:`repro.explore.campaign.run_jobs`, i.e. the exact cached/batched
   worker-pool path of a monolithic run, and collect a :class:`ShardRun`
   whose artifact embeds the shard provenance.
-* :func:`merge_shard_documents` — validate a set of shard artifacts (schema
-  versions, fingerprints, shard count, exactly-once index coverage,
-  canonical spans, column agreement) and recombine their rows into a
-  document identical to the one a single-host run writes.  For
-  *deterministic* shard artifacts (the default) the merged document is
-  **bitwise identical** to ``CampaignRun.write_json(deterministic=True)`` of
-  the monolithic campaign — the property the differential shard tests pin
-  down.  ``partial=True`` (CLI: ``merge --partial``) accepts an incomplete
-  shard set: surviving shards merge, the result carries a ``partial`` block
-  naming the missing spans, and :func:`replan_document` turns those gaps
-  into a re-plan worklist (each gap is one ``campaign --shard I/N`` rerun).
+* :func:`plan_merge` — validate a set of shard artifacts (schema versions,
+  fingerprints, shard count, exactly-once index coverage, canonical spans,
+  column agreement) and plan their recombination.  The rows themselves
+  stream through the columnar store
+  (:func:`repro.explore.store.merge_artifacts_to_store`), the only merge:
+  for *deterministic* shard artifacts (the default) the regenerated
+  artifact is **bitwise identical** to
+  ``CampaignRun.write_json(deterministic=True)`` of the monolithic campaign
+  — the property the differential shard tests pin down.  ``partial=True``
+  (CLI: ``merge --partial``) accepts an incomplete shard set: surviving
+  shards merge, the result carries a ``partial`` block naming the missing
+  spans, and :func:`replan_document` turns those gaps into a re-plan
+  worklist (each gap is one ``campaign --shard I/N`` rerun).
+* :func:`validate_shard_result` — the per-document half of the same
+  validation, for shard results that arrive one at a time (the live
+  coordinator's completions).
 
 Shard and merge documents embed the campaign row schema
 (``schema_version`` = :data:`repro.explore.campaign.SCHEMA_VERSION`); the
@@ -44,7 +49,6 @@ CLI maps to a non-zero exit status.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from collections import Counter
@@ -57,6 +61,7 @@ from repro.explore.campaign import (
     CampaignJob,
     CampaignRun,
     run_jobs,
+    write_json_artifact,
 )
 from repro.explore.scenarios import spec_from_dict, spec_to_dict
 
@@ -154,9 +159,7 @@ class CampaignShard:
         }
 
     def write_json(self, path) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.as_document(), handle, indent=2, sort_keys=False)
-            handle.write("\n")
+        write_json_artifact(self.as_document(), path)
 
     @classmethod
     def from_document(cls, document: Mapping[str, object]) -> "CampaignShard":
@@ -241,10 +244,7 @@ class ShardRun:
         return document
 
     def write_json(self, path, deterministic: bool = True) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.as_document(deterministic), handle, indent=2,
-                      sort_keys=False)
-            handle.write("\n")
+        write_json_artifact(self.as_document(deterministic), path)
 
     def write_csv(self, path, deterministic: bool = True) -> None:
         self.run.write_csv(path, deterministic=deterministic)
@@ -270,14 +270,34 @@ def _require_version(document: Mapping[str, object], key: str, expected: int,
         )
 
 
+#: Fields of the ``shard`` provenance block and their JSON types.
+_PROVENANCE_FIELDS = {"index": int, "count": int, "start": int, "stop": int,
+                      "total_jobs": int, "fingerprint": str}
+
+
+def _provenance(document: Mapping[str, object],
+                what: str) -> Mapping[str, object]:
+    """The document's ``shard`` block, with every field present and of its
+    JSON type — a malformed block is a :class:`MergeError`, never a
+    ``KeyError`` out of the validators."""
+    shard = document.get("shard")
+    if not isinstance(shard, Mapping):
+        raise MergeError(f"{what} carries no shard provenance block")
+    for key, kind in _PROVENANCE_FIELDS.items():
+        value = shard.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise MergeError(f"{what} has a malformed shard provenance "
+                             f"block: {key}={value!r}")
+    return shard
+
+
 @dataclass(frozen=True)
 class MergePlan:
     """The validated layout of one shard merge — everything but the rows.
 
-    Produced by :func:`plan_merge`; consumed by :func:`merge_shard_documents`
-    (in-memory row concatenation) and by the columnar store's streaming merge
-    (:func:`repro.explore.store.merge_artifacts_to_store`), which never holds
-    more than one shard's rows at a time.
+    Produced by :func:`plan_merge`; consumed by the columnar store's
+    streaming merge (:func:`repro.explore.store.merge_artifacts_to_store`),
+    which never holds more than one shard's rows at a time.
     """
 
     count: int
@@ -325,7 +345,7 @@ def plan_merge(documents: Sequence[Mapping[str, object]],
     *documents* are shard result artifacts — or row-less *headers* of them,
     in which case *row_counts* supplies each document's row count (the
     streaming merge path, which validates every artifact before re-reading
-    any rows).  All of :func:`merge_shard_documents`'s validation lives here:
+    any rows).  All of the shard-set validation lives here:
     schema versions, single fingerprint/count/total, exactly-once index
     coverage (``partial=True`` tolerates gaps), canonical spans, column
     agreement and per-span row counts.  Raises :class:`MergeError`.
@@ -343,8 +363,7 @@ def plan_merge(documents: Sequence[Mapping[str, object]],
         _require_version(document, "schema_version", SCHEMA_VERSION, what)
         _require_version(document, "distrib_schema_version",
                          DISTRIB_SCHEMA_VERSION, what)
-        if not isinstance(document.get("shard"), Mapping):
-            raise MergeError(f"{what} carries no shard provenance block")
+        _provenance(document, what)
         if "adaptive_schema_version" in document:
             raise MergeError(f"{what} is an adaptive artifact, not a "
                              f"campaign shard")
@@ -356,26 +375,23 @@ def plan_merge(documents: Sequence[Mapping[str, object]],
                     if "jobs" in document else "")
             raise MergeError(f"{what} carries no result rows/columns{hint}")
 
-    def provenance(document) -> Dict[str, object]:
-        return document["shard"]
-
-    counts = {provenance(d)["count"] for d in documents}
+    counts = {d["shard"]["count"] for d in documents}
     if len(counts) != 1:
         raise MergeError(f"shard counts disagree: {sorted(counts)}")
     count = counts.pop()
-    fingerprints = {provenance(d)["fingerprint"] for d in documents}
+    fingerprints = {d["shard"]["fingerprint"] for d in documents}
     if len(fingerprints) != 1:
         raise MergeError(
             "scenario-space fingerprints disagree — the shards were planned "
             f"from different campaigns: {sorted(fingerprints)}"
         )
     fingerprints_value = fingerprints.pop()
-    totals = {provenance(d)["total_jobs"] for d in documents}
+    totals = {d["shard"]["total_jobs"] for d in documents}
     if len(totals) != 1:
         raise MergeError(f"total job counts disagree: {sorted(totals)}")
     total_jobs = totals.pop()
 
-    indexes = sorted(provenance(d)["index"] for d in documents)
+    indexes = sorted(d["shard"]["index"] for d in documents)
     # One Counter pass: coordinator-scale merges hand this hundreds of
     # shards, where the old indexes.count(i)-per-element scan was O(n²).
     index_counts = Counter(indexes)
@@ -398,10 +414,10 @@ def plan_merge(documents: Sequence[Mapping[str, object]],
                          "(mixed deterministic/timing artifacts?)")
 
     order = sorted(range(len(documents)),
-                   key=lambda position: provenance(documents[position])["index"])
+                   key=lambda position: documents[position]["shard"]["index"])
     for position in order:
         document = documents[position]
-        shard = provenance(document)
+        shard = document["shard"]
         start, stop = shard["start"], shard["stop"]
         # Spans are a pure function of (index, count, total): validating
         # against the canonical formula catches overlaps and doctored spans
@@ -465,10 +481,8 @@ def validate_shard_result(document: Mapping[str, object], *,
     _require_version(document, "schema_version", SCHEMA_VERSION, what)
     _require_version(document, "distrib_schema_version",
                      DISTRIB_SCHEMA_VERSION, what)
-    shard = document.get("shard")
-    if not isinstance(shard, Mapping):
-        raise MergeError(f"{what} carries no shard provenance block")
-    index = int(shard["index"])
+    shard = _provenance(document, what)
+    index = shard["index"]
     if shard["count"] != count:
         raise MergeError(f"{what} was planned into {shard['count']} shard(s),"
                          f" expected {count}")
@@ -503,41 +517,6 @@ def validate_shard_result(document: Mapping[str, object], *,
         raise MergeError(f"shard {index} disagrees on the column list "
                          f"(mixed deterministic/timing artifacts?)")
     return index
-
-
-def merge_shard_documents(
-        documents: Sequence[Mapping[str, object]],
-        partial: bool = False) -> Dict[str, object]:
-    """Validate and recombine shard result documents into one result set.
-
-    The returned document has exactly the layout of
-    ``CampaignRun.as_document(deterministic=True)`` — for deterministic shard
-    artifacts it is bitwise identical (after ``json.dump``) to the artifact
-    of a monolithic single-host run.  Raises :class:`MergeError` when the
-    shards do not form exactly one complete, non-overlapping cover of one
-    campaign.
-
-    ``partial=True`` additionally accepts an *incomplete* shard set (lost
-    hosts, straggler shards): the present shards still have to agree on
-    provenance, sit on their canonical ``i·M/N`` spans and not overlap, and
-    their rows are recombined in shard order.  When shards are actually
-    missing, the returned document carries a ``partial`` block (present and
-    missing spans — the re-plan worklist) instead of masquerading as a
-    complete artifact; a complete set degrades to the ordinary bitwise merge.
-
-    All validation is delegated to :func:`plan_merge`; this function only
-    concatenates rows in memory.  Callers that cannot afford the in-memory
-    concatenation stream the same plan into a columnar store instead
-    (:func:`repro.explore.store.merge_artifacts_to_store`).
-    """
-    plan = plan_merge(documents, partial=partial)
-    merged_rows: List[Dict[str, object]] = []
-    for position in plan.order:
-        merged_rows.extend(documents[position]["rows"])
-    merged = plan.header()
-    merged["row_count"] = len(merged_rows)
-    merged["rows"] = merged_rows
-    return merged
 
 
 def missing_shard_spans(missing: Sequence[int], count: int,
@@ -580,24 +559,3 @@ def load_artifact(path) -> Dict[str, object]:
     if not isinstance(document, dict):
         raise ValueError(f"{path}: artifact is not a JSON object")
     return document
-
-
-def merge_artifacts(paths: Sequence, partial: bool = False) -> Dict[str, object]:
-    """:func:`merge_shard_documents` over artifacts read from *paths*."""
-    return merge_shard_documents([load_artifact(path) for path in paths],
-                                 partial=partial)
-
-
-def write_merged_json(document: Mapping[str, object], path) -> None:
-    """Write a merged document exactly like ``CampaignRun.write_json``."""
-    with open(path, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-
-
-def write_merged_csv(document: Mapping[str, object], path) -> None:
-    """Write a merged document's rows as CSV (header = its column list)."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(document["columns"]))
-        writer.writeheader()
-        writer.writerows(document["rows"])

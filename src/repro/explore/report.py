@@ -155,9 +155,6 @@ def format_adaptive(result) -> str:
     if result.resumed_rounds:
         footer += (f"; resumed: {result.resumed_rounds} round(s) replayed "
                    f"from the checkpoint artifact")
-    if result.round_shards:
-        footer += (f"; sharded: each round merged from "
-                   f"{result.round_shards} planned shards")
     if not result.complete:
         footer += (f"; CHECKPOINT: {len(result.rounds)} of "
                    f"{result.planned_rounds} rounds done, front pending — "

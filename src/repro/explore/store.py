@@ -1,10 +1,8 @@
 """Appendable columnar result store with streaming artifact writers.
 
-The campaign/adaptive/merge paths of :mod:`repro.explore` historically
-materialized every result row as a Python dict (``merge_shard_documents``
-concatenates complete ``rows`` lists in memory) — the ROADMAP names that the
-bottleneck on the way to millions-of-rows campaigns.  This module is the
-storage substrate underneath those paths:
+The campaign/adaptive/merge paths of :mod:`repro.explore` keep result rows
+as typed columns instead of per-row Python dicts wherever the row count is
+unbounded.  This module is the storage substrate underneath those paths:
 
 * :class:`ColumnarStore` — a directory of typed numpy column blocks
   (``chunk-NNNNNN.npz``, one array per column) plus a ``manifest.json``
@@ -16,18 +14,17 @@ storage substrate underneath those paths:
   neither writing nor reading ever holds the full row set.
 * :func:`store_campaign_run` / :func:`store_shard_run` /
   :func:`store_adaptive_result` — persist the existing result objects.
-* :func:`merge_artifacts_to_store` — the streaming shard merge: validate
+* :func:`merge_artifacts_to_store` — the shard merge (the only one): validate
   every artifact through :func:`repro.explore.distrib.plan_merge` first
   (headers only), then re-read one shard at a time, appending its rows to
   the store.  Peak memory is one shard plus one chunk buffer, regardless of
   how many shards merge.
 * :func:`write_document_json` / :func:`write_document_csv` — stream a
   store back out as a JSON/CSV artifact.  The JSON writer reproduces
-  ``json.dump(document, indent=2, sort_keys=False)`` byte for byte, so a
-  store-backed ``merge --store`` artifact is **bitwise identical** to
-  ``CampaignRun.write_json(deterministic=True)`` of the monolithic run —
-  the same contract :func:`~repro.explore.distrib.merge_shard_documents`
-  honours, extended to the streaming path (pinned by ``tests/explore/
+  :func:`repro.explore.campaign.write_json_artifact` byte for byte, so a
+  merged artifact is **bitwise identical** to
+  ``CampaignRun.write_json(deterministic=True)`` of the monolithic run
+  (pinned by ``tests/explore/test_distrib.py``, ``tests/explore/
   test_store.py`` and the CI shard-smoke ``cmp`` step).
 
 Column dtypes are *schema-typed*, not inferred: every known result column
@@ -43,7 +40,6 @@ The on-disk layout itself is versioned (``store_schema_version`` =
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import struct
@@ -60,6 +56,8 @@ from repro.explore.campaign import (
     RESULT_COLUMNS,
     SCHEMA_VERSION,
     result_columns,
+    write_csv_artifact,
+    write_json_artifact,
 )
 from repro.explore.distrib import (
     MergeError,
@@ -100,6 +98,9 @@ COLUMN_KINDS: Dict[str, str] = {
 
 _KIND_DTYPES = {"int": np.dtype(np.int64), "float": np.dtype(np.float64),
                 "bool": np.dtype(bool)}
+
+#: numpy dtype kind code of each declared column kind.
+_KIND_CODES = {"int": "i", "float": "f", "bool": "b", "str": "U"}
 
 #: Value types each declared column kind holds losslessly (``bool`` only
 #: in bool columns, although it subclasses ``int``).
@@ -143,6 +144,51 @@ def _column_array(column: str, values: Sequence[object]) -> np.ndarray:
     raise StoreError(f"column {column!r} has unsupported dtype {array.dtype}")
 
 
+def _typed_columns(columns: Sequence[str],
+                   rows: Sequence[Mapping[str, object]]
+                   ) -> Dict[str, np.ndarray]:
+    """JSON result rows as one typed array per column (the form decoded RSB1
+    blocks arrive in), refusing every value the schema dtypes would coerce
+    or lose.
+
+    A missing column, a non-object row, a value of a foreign JSON type (a
+    bool in an int column, a string in a float column) or a NUL-terminated
+    string raises :class:`StoreError` — so a malformed shard result is
+    rejected whole, before any of it is buffered or written.
+    """
+    arrays: Dict[str, np.ndarray] = {}
+    for column in columns:
+        try:
+            values = [row[column] for row in rows]
+        except KeyError as error:
+            raise StoreError(f"row is missing column {error.args[0]!r}")
+        except TypeError:
+            raise StoreError("result rows are not JSON objects")
+        kind = COLUMN_KINDS.get(str(column))
+        foreign = kind and [
+            value_type.__name__ for value_type in set(map(type, values))
+            if not issubclass(value_type, _KIND_TYPES[kind])
+            or (value_type is bool and kind != "bool")]
+        if foreign:
+            # The schema dtype would coerce these silently (False -> 0).
+            raise StoreError(f"column {column!r} is declared {kind} but "
+                             f"holds {', '.join(sorted(foreign))} values")
+        try:
+            array = _column_array(str(column), values)
+        except OverflowError as error:
+            raise StoreError(f"column {column!r}: {error}")
+        if array.dtype.kind == "U" and array.tolist() != values:
+            # Fixed-width numpy unicode drops trailing NULs on read-back;
+            # refuse the lossy conversion rather than corrupt silently.
+            # (The read-back comparison is vectorized; a Python-level scan
+            # of every string would dominate bulk encodes.)
+            raise StoreError(
+                f"column {column!r} holds NUL-terminated strings, which a "
+                f"typed column cannot store losslessly")
+        arrays[str(column)] = array
+    return arrays
+
+
 class ColumnarStore:
     """An appendable directory of typed numpy column chunks.
 
@@ -152,7 +198,7 @@ class ColumnarStore:
     Readers stream: :meth:`iter_column_chunks` yields one column mapping per
     chunk, :meth:`iter_rows` re-materializes dict rows with native Python
     scalars (``.tolist()``), which is what keeps regenerated JSON/CSV
-    artifacts bitwise identical to the dict-of-lists writers.
+    artifacts bitwise identical to the campaign artifact writers.
     """
 
     def __init__(self, path: Path, columns: Sequence[str],
@@ -396,8 +442,7 @@ class ColumnarStore:
             "document_header": self._document_header,
             "metadata": self._metadata,
         }
-        (self.path / MANIFEST_NAME).write_text(
-            json.dumps(manifest, indent=2, sort_keys=False) + "\n")
+        write_json_artifact(manifest, self.path / MANIFEST_NAME)
         self._writable = False
 
     # -- reading ------------------------------------------------------------
@@ -560,36 +605,6 @@ def _create_merge_store(plan, store_path, chunk_rows: int) -> ColumnarStore:
         chunk_rows=chunk_rows)
 
 
-def _append_shard_rows(store: ColumnarStore, columns: Sequence[str],
-                       rows: Sequence[Mapping[str, object]]) -> None:
-    # Column-block append: one list comprehension per column beats 26 dict
-    # lookups per row by a wide margin at merge scale.
-    store.append_columns({column: [row[column] for row in rows]
-                          for column in columns})
-
-
-def merge_documents_to_store(documents: Sequence[Mapping[str, object]],
-                             store_path, partial: bool = False,
-                             chunk_rows: int = DEFAULT_CHUNK_ROWS,
-                             ) -> ColumnarStore:
-    """Merge already-loaded shard documents into a store.
-
-    The columnar counterpart of
-    :func:`~repro.explore.distrib.merge_shard_documents` — same
-    :func:`~repro.explore.distrib.plan_merge` validation, same shard order,
-    but the rows land as typed column chunks instead of one concatenated
-    Python list.  When the artifacts live on disk, prefer
-    :func:`merge_artifacts_to_store`, which never loads them all at once.
-    """
-    plan = plan_merge(documents, partial=partial)
-    store = _create_merge_store(plan, store_path, chunk_rows)
-    with store:
-        for position in plan.order:
-            _append_shard_rows(store, plan.columns,
-                               documents[position]["rows"])
-    return store
-
-
 def merge_artifacts_to_store(paths: Sequence, store_path,
                              partial: bool = False,
                              chunk_rows: int = DEFAULT_CHUNK_ROWS,
@@ -602,13 +617,14 @@ def merge_artifacts_to_store(paths: Sequence, store_path,
     re-read one at a time in shard-index order, their rows appended to the
     store and dropped.  Peak memory is one shard plus one chunk buffer —
     independent of the shard count — while the resulting store regenerates
-    (:func:`write_document_json`) the exact bytes of
-    :func:`~repro.explore.distrib.merge_shard_documents` +
-    ``write_merged_json``.
+    (:func:`write_document_json`) the merged artifact: for a complete set of
+    deterministic shards, the exact bytes of the monolithic
+    ``CampaignRun.write_json(deterministic=True)``.
 
     Returns ``(store, headers)`` — the headers (shard artifacts minus their
     rows) feed the CLI's merge report.  Raises
-    :class:`~repro.explore.distrib.MergeError` like the in-memory merge.
+    :class:`~repro.explore.distrib.MergeError` for an invalid shard set or
+    malformed rows.
     """
     headers: List[Dict[str, object]] = []
     row_counts: List[Optional[int]] = []
@@ -630,7 +646,10 @@ def merge_artifacts_to_store(paths: Sequence, store_path,
                     len(rows) != plan.row_counts[position]:
                 raise MergeError(
                     f"{paths[position]} changed between validation and merge")
-            _append_shard_rows(store, plan.columns, rows)
+            try:
+                store.append_columns(_typed_columns(plan.columns, rows))
+            except StoreError as error:
+                raise MergeError(f"{paths[position]}: {error}")
             del document, rows
     return store, headers
 
@@ -700,32 +719,8 @@ def encode_shard_block(document: Mapping[str, object]) -> bytes:
     if not isinstance(columns, (list, tuple)) or not columns:
         raise StoreError("shard block source declares no columns")
     header = {key: value for key, value in document.items() if key != "rows"}
-    arrays = []
-    for column in columns:
-        try:
-            values = [row[column] for row in rows]
-        except KeyError as error:
-            raise StoreError(
-                f"shard block row is missing column {error.args[0]!r}")
-        kind = COLUMN_KINDS.get(str(column))
-        foreign = kind and sorted(
-            value_type.__name__ for value_type in set(map(type, values))
-            if not issubclass(value_type, _KIND_TYPES[kind])
-            or (value_type is bool and kind != "bool"))
-        if foreign:
-            # The schema dtype would coerce these silently (False -> 0).
-            raise StoreError(f"column {column!r} is declared {kind} but "
-                             f"holds {', '.join(foreign)} values")
-        array = _column_array(str(column), values)
-        if array.dtype.kind == "U" and array.tolist() != values:
-            # Fixed-width numpy unicode drops trailing NULs on read-back;
-            # refuse the lossy encode rather than corrupt silently.  (The
-            # read-back comparison is vectorized; a Python-level scan of
-            # every string would dominate bulk encodes.)
-            raise StoreError(
-                f"column {column!r} holds NUL-terminated strings, which a "
-                f"shard block cannot store losslessly")
-        arrays.append(array)
+    typed = _typed_columns(columns, rows)
+    arrays = [typed[str(column)] for column in columns]
     header_bytes = json.dumps(header, sort_keys=False,
                               separators=(",", ":")).encode("utf-8")
     chunks = [header_bytes]
@@ -799,6 +794,13 @@ def decode_shard_block(payload: Union[bytes, bytearray, memoryview]
     if offset != len(data):
         raise StoreError(
             f"shard block carries {len(data) - offset} trailing byte(s)")
+    for column, array in arrays.items():
+        kind = COLUMN_KINDS.get(column)
+        if array.ndim != 1 or (kind and array.dtype.kind != _KIND_CODES[kind]):
+            # Caught here, not when an earlier span's drain appends it.
+            raise StoreError(f"shard block column {column!r} is a "
+                             f"{array.ndim}-D {array.dtype} array, not a "
+                             f"{kind or 'typed'} column")
     lengths = {len(array) for array in arrays.values()}
     if len(lengths) > 1:
         raise StoreError(
@@ -861,8 +863,8 @@ class IncrementalShardMerge:
             },
             chunk_rows=chunk_rows)
         self._next = 0
-        self._buffered: Dict[int, Union[List[Mapping[str, object]],
-                                        Dict[str, np.ndarray]]] = {}
+        #: Accepted shards waiting for an earlier gap: typed column arrays.
+        self._buffered: Dict[int, Dict[str, np.ndarray]] = {}
         self._merged: set = set()
         # Optional observability plane (repro.explore.metrics): a shared
         # MetricsRegistry and/or StructuredLog; the campaign label keeps
@@ -910,14 +912,22 @@ class IncrementalShardMerge:
     def add_shard_document(self, document: Mapping[str, object]) -> int:
         """Validate and ingest one shard result document; returns its index.
 
-        Raises :class:`~repro.explore.distrib.MergeError` when the document
-        does not belong to this merge's plan or its shard index was already
-        ingested (double completion of the same span).
+        The rows are converted to typed column arrays *before* anything is
+        recorded, so a row with a missing column or a foreign value type is
+        rejected like any other invalid document and never occupies the
+        span.  Raises :class:`~repro.explore.distrib.MergeError` when the
+        document does not belong to this merge's plan, carries malformed
+        rows, or its shard index was already ingested (double completion of
+        the same span).
         """
         index = validate_shard_result(
             document, count=self._count, total_jobs=self._total_jobs,
             fingerprint=self._fingerprint, columns=self._columns)
-        return self._ingest(index, list(document["rows"]))
+        try:
+            columns = _typed_columns(self._columns, document["rows"])
+        except StoreError as error:
+            raise MergeError(f"shard {index}: {error}")
+        return self._ingest(index, columns)
 
     def add_shard_block(self, block: Union[ShardBlock, bytes, bytearray,
                                            memoryview]) -> int:
@@ -944,26 +954,20 @@ class IncrementalShardMerge:
             actual_rows=block.row_count)
         return self._ingest(index, dict(block.columns))
 
-    def _ingest(self, index: int,
-                entry: Union[List[Mapping[str, object]],
-                             Dict[str, np.ndarray]]) -> int:
+    def _ingest(self, index: int, columns: Dict[str, np.ndarray]) -> int:
         if index in self._merged:
             raise MergeError(f"shard {index} was already merged "
                              f"(double completion)")
         self._merged.add(index)
-        self._buffered[index] = entry
+        self._buffered[index] = columns
         # Drain the in-order prefix: everything contiguous from _next flows
         # straight into typed column chunks and is dropped from memory.
         drained_rows = 0
         drained_shards = 0
         while self._next in self._buffered:
             pending = self._buffered.pop(self._next)
-            if isinstance(pending, dict):
-                self._store.append_columns(pending)
-                drained_rows += len(pending[self._columns[0]])
-            else:
-                _append_shard_rows(self._store, self._columns, pending)
-                drained_rows += len(pending)
+            self._store.append_columns(pending)
+            drained_rows += len(pending[self._columns[0]])
             drained_shards += 1
             self._next += 1
         if self._m_rows is not None:
@@ -991,10 +995,10 @@ class IncrementalShardMerge:
 def write_document_json(store: ColumnarStore, path) -> None:
     """Stream a store out as a JSON artifact, chunk by chunk.
 
-    Reproduces ``json.dump(store.document(), handle, indent=2,
-    sort_keys=False)`` plus the trailing newline *byte for byte* without
-    ever materializing the row list — the bitwise-identity contract of the
-    artifact writers, extended to the streaming path.
+    Reproduces :func:`~repro.explore.campaign.write_json_artifact` of
+    ``store.document()`` *byte for byte* without ever materializing the row
+    list — the bitwise-identity contract of the artifact writer, extended to
+    the streaming path.
     """
     header = store.document_header
     header["row_count"] = store.row_count
@@ -1016,8 +1020,4 @@ def write_document_json(store: ColumnarStore, path) -> None:
 
 def write_document_csv(store: ColumnarStore, path) -> None:
     """Stream a store out as a CSV artifact (header = its column list)."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=store.columns)
-        writer.writeheader()
-        for rows in store.iter_row_chunks():
-            writer.writerows(rows)
+    write_csv_artifact(store.columns, store.iter_rows(), path)

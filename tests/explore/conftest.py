@@ -9,6 +9,8 @@ the fault-injection tests replace both sides of the wire:
 * :class:`FlakyClient` — wraps a client and raises ``ConnectionError`` for
   a scripted number of calls: a network partition between worker and
   coordinator, without sockets.
+* :func:`merge_shard_files` — shard documents written to disk and merged
+  through the columnar store, as ``merge`` does.
 
 Real sockets are exercised separately by the protocol tests in
 ``test_coordinator.py`` and ``test_protocol_v2.py``; everything else runs
@@ -17,8 +19,13 @@ interleavings can be scripted without threads or sleeps.
 """
 
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+
+from repro.explore.campaign import write_json_artifact
+from repro.explore.store import merge_artifacts_to_store
 
 #: One Prometheus text-format sample line: name, optional {labels}, value.
 _SAMPLE = re.compile(
@@ -64,6 +71,22 @@ def parse_prometheus_text(payload: str):
             value.replace("Inf", "inf").replace("NaN", "nan"))
     assert payload.endswith("\n"), "exposition must end with a newline"
     return samples
+
+
+def merge_shard_files(documents, directory, partial: bool = False):
+    """Write shard result *documents* as artifact files (the campaign
+    artifact writer) in a fresh subdirectory of *directory* and merge them
+    through :func:`~repro.explore.store.merge_artifacts_to_store` — the one
+    merge path.  Returns the closed, readable merged store."""
+    scratch = Path(tempfile.mkdtemp(prefix="merge-", dir=directory))
+    paths = []
+    for position, document in enumerate(documents):
+        path = scratch / f"shard-{position}.json"
+        write_json_artifact(document, path)
+        paths.append(path)
+    store, _ = merge_artifacts_to_store(paths, scratch / "merged.store",
+                                        partial=partial)
+    return store
 
 
 class FakeClock:

@@ -337,66 +337,6 @@ def test_large_space_runs_fewer_full_fidelity_jobs_than_grid():
                 assert not dominates(a, b)
 
 
-class TestRoundSharding:
-    """Adaptive rounds executed through the shard plan/run/merge machinery
-    (the ROADMAP item: each round's job list is a plain CampaignJob list)."""
-
-    @staticmethod
-    def search():
-        return adaptive_search_from_axes(
-            {"core_count": [1, 2], "tam_width_bits": [16, 32]},
-            base=ScenarioSpec(name="base", patterns_per_core=32, seed=5),
-            eta=2.0, min_budget=0.5)
-
-    def test_sharded_rounds_bitwise_identical_to_unsharded(self):
-        unsharded = self.search().run()
-        for shards in (2, 3):
-            clear_scenario_cache()
-            sharded = self.search().run(round_shards=shards)
-            assert sharded.as_document() == unsharded.as_document()
-            assert sharded.round_shards == shards
-
-    def test_lead_shard_rotation_does_not_change_results(self):
-        baseline = self.search().run(round_shards=3, lead_shard=0)
-        for lead in (1, 2):
-            clear_scenario_cache()
-            rotated = self.search().run(round_shards=3, lead_shard=lead)
-            assert rotated.as_document() == baseline.as_document()
-
-    def test_more_shards_than_round_jobs_degrades_gracefully(self):
-        tiny = AdaptiveSearch(
-            [ScenarioSpec(name="one", core_count=1, patterns_per_core=16,
-                          seed=3, schedules=("sequential", "greedy"))],
-            eta=2.0, min_budget=0.5)
-        sharded = tiny.run(round_shards=64)
-        clear_scenario_cache()
-        plain = tiny.run()
-        assert sharded.as_document() == plain.as_document()
-
-    def test_sharded_resume_matches_unsharded_run(self, tmp_path):
-        checkpoint = self.search().run(max_rounds=1, round_shards=2)
-        path = tmp_path / "ckpt.json"
-        checkpoint.write_json(path)
-        with open(path) as handle:
-            document = json.load(handle)
-        from repro.explore.adaptive import resume_search
-        resumed = resume_search(document, round_shards=2)
-        clear_scenario_cache()
-        full = self.search().run()
-        assert resumed.as_document() == full.as_document()
-
-    def test_invalid_shard_parameters_rejected(self):
-        with pytest.raises(ValueError, match="round_shards"):
-            self.search().run(round_shards=0)
-        with pytest.raises(ValueError, match="lead_shard"):
-            self.search().run(round_shards=2, lead_shard=2)
-
-    def test_round_shards_not_serialized(self):
-        result = self.search().run(round_shards=2)
-        document = result.as_document()
-        assert "round_shards" not in json.dumps(document)
-
-
 # -- vectorized Pareto analytics vs the definitional reference ----------------
 
 objective_values = st.integers(min_value=0, max_value=6)

@@ -536,27 +536,15 @@ class TestCoordinatorCli:
             coordinator.close()
 
 
-class TestAdaptiveShardCli:
-    def test_sharded_adaptive_bitwise_identical_to_unsharded(self, capsys,
-                                                             tmp_path):
-        sharded = tmp_path / "sharded.json"
-        plain = tmp_path / "plain.json"
-        assert main(["adaptive", *GRID, "--shard", "1/2",
-                     "--json", str(sharded)]) == 0
-        assert "sharded" in capsys.readouterr().out
-        assert main(["adaptive", *GRID, "--json", str(plain)]) == 0
-        capsys.readouterr()
-        assert sharded.read_bytes() == plain.read_bytes()
-
-
-class TestAdaptiveShardTimingWarning:
-    def test_shard_with_timing_warns_about_zeroed_columns(self, capsys,
-                                                          tmp_path):
-        path = tmp_path / "sharded_timing.json"
-        assert main(["adaptive", *GRID, "--shard", "0/2", "--timing",
-                     "--json", str(path)]) == 0
-        captured = capsys.readouterr()
-        assert "read as zero" in captured.err
+class TestAdaptiveHasNoShardOption:
+    def test_adaptive_shard_is_an_unrecognized_argument(self, capsys):
+        # Round sharding ran every shard locally and wrote the bytes of an
+        # unsharded run; the option is gone (campaign --shard + merge is
+        # the distribution path).
+        with pytest.raises(SystemExit) as exit_info:
+            main(["adaptive", *GRID, "--shard", "0/2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --shard" in capsys.readouterr().err
 
 
 class TestStoreCli:

@@ -149,6 +149,28 @@ def assert_bitwise_identical(paths) -> None:
     assert paths["csv"].read_bytes() == paths["mono_csv"].read_bytes()
 
 
+def poisoned(shard, defect: str) -> dict:
+    """An honest shard result with one malformed row or provenance block."""
+    document = scripted_executor(shard)
+    if defect == "missing-column":
+        del document["rows"][0]["peak_power"]
+    elif defect == "foreign-kind":
+        document["rows"][-1]["test_length_cycles"] = "x"
+    else:
+        document["shard"] = {}
+    return document
+
+
+def assert_poisoned_completion_rejected(coordinator, lease, document) -> None:
+    """The bad completion is a counted MergeError and its lease stays live."""
+    invalid = coordinator.status()["invalid_documents"]
+    with pytest.raises(MergeError):
+        coordinator.complete_lease(lease.lease_id, document)
+    assert coordinator.status()["invalid_documents"] == invalid + 1
+    assert coordinator.heartbeat_many([lease.lease_id]) == \
+        {lease.lease_id: True}
+
+
 def scripted_worker(coordinator, name, **kwargs) -> CampaignWorker:
     """A no-thread, no-sleep worker over the in-process client."""
     kwargs.setdefault("max_idle_polls", 1)
@@ -329,6 +351,44 @@ class TestLeaseLifecycle:
             {lease.lease_id: True}
         assert coordinator.complete_lease(lease.lease_id,
                                           scripted_executor(shard)) is True
+
+    @pytest.mark.parametrize("defect", [
+        "missing-column", "foreign-kind", "empty-provenance"])
+    def test_malformed_completion_does_not_poison_its_span(
+            self, coordinator_factory, tmp_path, defect):
+        # Regression: rows were typed only when the span drained, so a row
+        # without a column or with a foreign value type raised KeyError/
+        # ValueError after the span was marked merged — the honest retry
+        # was then refused as a double completion and the campaign never
+        # finished.
+        coordinator = coordinator_factory()
+        campaign_id, _, paths = submit_fake(coordinator, tmp_path, 6, 3)
+        leases = coordinator.request_leases("w1", 3)
+        lease, shard = leases[0]
+        assert_poisoned_completion_rejected(coordinator, lease,
+                                            poisoned(shard, defect))
+        for lease, shard in leases:
+            assert coordinator.complete_lease(
+                lease.lease_id, scripted_executor(shard)) is True
+        assert coordinator.campaign_progress(campaign_id)["complete"]
+        assert_bitwise_identical(paths)
+
+    def test_malformed_out_of_order_completion_does_not_poison_the_prefix(
+            self, coordinator_factory, tmp_path):
+        # Regression: sent as span 1 of 3 the bad document was *accepted*
+        # (buffered behind the gap at span 0); the valid span 0 then died
+        # draining it, and both spans were dead.
+        coordinator = coordinator_factory()
+        campaign_id, _, paths = submit_fake(coordinator, tmp_path, 6, 3)
+        leases = coordinator.request_leases("w1", 3)
+        lease, shard = leases[1]
+        assert_poisoned_completion_rejected(
+            coordinator, lease, poisoned(shard, "missing-column"))
+        for lease, shard in leases:
+            assert coordinator.complete_lease(
+                lease.lease_id, scripted_executor(shard)) is True
+        assert coordinator.campaign_progress(campaign_id)["complete"]
+        assert_bitwise_identical(paths)
 
     def test_unknown_lease_and_campaign_raise_coordinator_error(
             self, coordinator_factory, tmp_path):

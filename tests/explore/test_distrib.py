@@ -1,7 +1,8 @@
 """Tests of the distribution subsystem: deterministic shard planning, shard
 execution on the campaign pool path, and provenance-validated artifact
-merging.  The differential core: shard → run → merge is bitwise identical to
-the monolithic single-host run for even and uneven shard counts."""
+merging.  The differential core: shard → run → merge (shard files streamed
+through the columnar store, the only merge path) is bitwise identical to the
+monolithic single-host run for even and uneven shard counts."""
 
 import json
 from dataclasses import replace
@@ -25,15 +26,19 @@ from repro.explore.distrib import (
     job_from_dict,
     job_to_dict,
     load_artifact,
-    merge_artifacts,
-    merge_shard_documents,
+    plan_merge,
     plan_shards,
     run_shard,
     space_fingerprint,
-    write_merged_csv,
-    write_merged_json,
+    validate_shard_result,
 )
 from repro.explore.scenarios import ScenarioSpec, spec_from_dict, spec_to_dict
+from repro.explore.store import (
+    merge_artifacts_to_store,
+    write_document_csv,
+    write_document_json,
+)
+from tests.explore.conftest import merge_shard_files
 
 
 def small_campaign(**axes) -> Campaign:
@@ -208,7 +213,7 @@ class TestDifferentialMerge:
             path = tmp_path / f"shard{shard.index}.json"
             run_shard(shard).write_json(path)
             paths.append(path)
-        merged = merge_artifacts(paths)
+        store, _ = merge_artifacts_to_store(paths, tmp_path / "merged.store")
 
         mono_json = tmp_path / "mono.json"
         mono_csv = tmp_path / "mono.csv"
@@ -217,8 +222,8 @@ class TestDifferentialMerge:
 
         merged_json = tmp_path / "merged.json"
         merged_csv = tmp_path / "merged.csv"
-        write_merged_json(merged, merged_json)
-        write_merged_csv(merged, merged_csv)
+        write_document_json(store, merged_json)
+        write_document_csv(store, merged_csv)
         assert merged_json.read_bytes() == mono_json.read_bytes()
         assert merged_csv.read_bytes() == mono_csv.read_bytes()
 
@@ -246,77 +251,79 @@ class TestDifferentialMerge:
         assert "wall_seconds" in document
 
     def test_pool_executed_shards_merge_identically(self, campaign,
-                                                    monolithic):
+                                                    monolithic, tmp_path):
         documents = []
         for shard in plan_shards(campaign, 2):
             documents.append(json.loads(json.dumps(
                 run_shard(shard, workers=2).as_document())))
-        merged = merge_shard_documents(documents)
-        assert merged == json.loads(json.dumps(
-            monolithic.as_document(deterministic=True)))
+        store = merge_shard_files(documents, tmp_path)
+        write_document_json(store, tmp_path / "merged.json")
+        monolithic.write_json(tmp_path / "mono.json", deterministic=True)
+        assert (tmp_path / "merged.json").read_bytes() == \
+            (tmp_path / "mono.json").read_bytes()
 
 
 class TestMergeValidation:
     def test_merge_of_nothing_rejected(self):
         with pytest.raises(MergeError, match="no shard artifacts"):
-            merge_shard_documents([])
+            plan_merge([])
 
     def test_schema_version_mismatch_rejected(self):
         documents = fake_shard_documents(4, 2)
         documents[1]["schema_version"] = SCHEMA_VERSION - 1
         with pytest.raises(MergeError, match="schema_version"):
-            merge_shard_documents(documents)
+            plan_merge(documents)
 
     def test_distrib_version_mismatch_rejected(self):
         documents = fake_shard_documents(4, 2)
         documents[0]["distrib_schema_version"] = DISTRIB_SCHEMA_VERSION + 1
         with pytest.raises(MergeError, match="distrib_schema_version"):
-            merge_shard_documents(documents)
+            plan_merge(documents)
 
     def test_adaptive_artifact_rejected(self):
         documents = fake_shard_documents(4, 2)
         documents[0]["adaptive_schema_version"] = 2
         with pytest.raises(MergeError, match="adaptive artifact"):
-            merge_shard_documents(documents)
+            plan_merge(documents)
 
     def test_plain_campaign_artifact_rejected(self):
         documents = fake_shard_documents(2, 2)
         del documents[0]["shard"]
         with pytest.raises(MergeError, match="no shard provenance"):
-            merge_shard_documents(documents)
+            plan_merge(documents)
 
     def test_shard_spec_file_rejected_with_hint(self):
         # Passing the plan files (shard *specs*) to merge instead of the
         # result artifacts must name the mistake, not KeyError.
         documents = [shard.as_document() for shard in plan_shards(fake_jobs(4), 2)]
         with pytest.raises(MergeError, match="shard \\*spec\\* file"):
-            merge_shard_documents(documents)
+            plan_merge(documents)
 
     def test_non_object_artifact_rejected(self):
         with pytest.raises(MergeError, match="not a JSON object"):
-            merge_shard_documents([[], fake_shard_documents(2, 2)[0]])
+            plan_merge([[], fake_shard_documents(2, 2)[0]])
 
     def test_fingerprint_mismatch_rejected(self):
         documents = fake_shard_documents(4, 2)
         documents[1]["shard"]["fingerprint"] = "0" * 64
         with pytest.raises(MergeError, match="fingerprints disagree"):
-            merge_shard_documents(documents)
+            plan_merge(documents)
 
     def test_overlapping_shards_rejected(self):
         documents = fake_shard_documents(4, 2)
         with pytest.raises(MergeError, match="overlapping shards"):
-            merge_shard_documents([documents[0], documents[0], documents[1]])
+            plan_merge([documents[0], documents[0], documents[1]])
 
     def test_missing_shard_rejected(self):
         documents = fake_shard_documents(6, 3)
         with pytest.raises(MergeError, match="missing shard index"):
-            merge_shard_documents([documents[0], documents[2]])
+            plan_merge([documents[0], documents[2]])
 
     def test_shard_count_mismatch_rejected(self):
         documents = fake_shard_documents(4, 2)
         documents[1]["shard"]["count"] = 3
         with pytest.raises(MergeError, match="shard counts disagree"):
-            merge_shard_documents(documents)
+            plan_merge(documents)
 
     def test_span_overlap_rejected(self):
         documents = fake_shard_documents(6, 2)
@@ -324,7 +331,7 @@ class TestMergeValidation:
         documents[1]["rows"].insert(0, dict(documents[1]["rows"][0]))
         documents[1]["row_count"] += 1
         with pytest.raises(MergeError, match="overlapping shard spans"):
-            merge_shard_documents(documents)
+            plan_merge(documents)
 
     def test_span_gap_rejected(self):
         documents = fake_shard_documents(6, 2)
@@ -332,13 +339,13 @@ class TestMergeValidation:
         documents[1]["rows"] = documents[1]["rows"][1:]
         documents[1]["row_count"] -= 1
         with pytest.raises(MergeError, match="gapped shard spans"):
-            merge_shard_documents(documents)
+            plan_merge(documents)
 
     def test_row_count_span_mismatch_rejected(self):
         documents = fake_shard_documents(4, 2)
         documents[0]["rows"] = documents[0]["rows"][:-1]
         with pytest.raises(MergeError, match="row"):
-            merge_shard_documents(documents)
+            plan_merge(documents)
 
     def test_mixed_deterministic_and_timing_artifacts_rejected(self):
         jobs = fake_jobs(4)
@@ -349,7 +356,30 @@ class TestMergeValidation:
         documents = [ShardRun(shards[0], runs[0]).as_document(deterministic=True),
                      ShardRun(shards[1], runs[1]).as_document(deterministic=False)]
         with pytest.raises(MergeError, match="column list"):
-            merge_shard_documents(documents)
+            plan_merge(documents)
+
+    @pytest.mark.parametrize("provenance", [
+        {}, {"index": 0}, None, [],
+        {"index": "0", "count": 2, "start": 0, "stop": 2, "total_jobs": 4,
+         "fingerprint": "f"},
+        {"index": True, "count": 2, "start": 0, "stop": 2, "total_jobs": 4,
+         "fingerprint": "f"},
+        {"index": 0, "count": 2, "start": 0, "stop": 2, "total_jobs": 4,
+         "fingerprint": 7},
+    ])
+    def test_malformed_provenance_rejected_as_merge_error(self, provenance):
+        # A missing or ill-typed provenance field used to escape the
+        # validators as KeyError/ValueError instead of MergeError.
+        documents = fake_shard_documents(4, 2)
+        documents[0]["shard"] = provenance
+        with pytest.raises(MergeError, match="provenance"):
+            plan_merge(documents)
+        plan = plan_merge(fake_shard_documents(4, 2))
+        with pytest.raises(MergeError, match="provenance"):
+            validate_shard_result(documents[0], count=plan.count,
+                                  total_jobs=plan.total_jobs,
+                                  fingerprint=plan.fingerprint,
+                                  columns=plan.columns)
 
     def test_merge_errors_are_value_errors(self):
         # The CLI's exit-code handling keys on ValueError.
@@ -366,33 +396,35 @@ class TestDistribAtScale:
             base=ScenarioSpec(name="base", patterns_per_core=32, seed=5),
         )
         assert len(campaign) >= 24
-        documents = []
+        paths = []
         for shard in plan_shards(campaign, 4):
             # Each "host" runs its slice on its own worker pool.
-            documents.append(json.loads(json.dumps(
-                run_shard(shard, workers=2).as_document())))
-        merged = merge_shard_documents(documents)
+            paths.append(tmp_path / f"shard{shard.index}.json")
+            run_shard(shard, workers=2).write_json(paths[-1])
+        store, _ = merge_artifacts_to_store(paths, tmp_path / "merged.store")
         monolithic = campaign.run(workers=2)
         mono_path, merged_path = tmp_path / "mono.json", tmp_path / "merged.json"
         monolithic.write_json(mono_path, deterministic=True)
-        write_merged_json(merged, merged_path)
+        write_document_json(store, merged_path)
         assert merged_path.read_bytes() == mono_path.read_bytes()
 
 
 class TestPartialMerge:
     """merge --partial: recombine what exists, report the gaps."""
 
-    def test_complete_set_with_partial_equals_full_merge(self):
+    def test_complete_set_with_partial_equals_full_merge(self, tmp_path):
         documents = fake_shard_documents(8, 3)
-        assert merge_shard_documents(documents, partial=True) == \
-            merge_shard_documents(documents)
+        assert merge_shard_files(documents, tmp_path,
+                                 partial=True).document() == \
+            merge_shard_files(documents, tmp_path).document()
 
-    def test_missing_shard_merges_present_rows_and_reports_gaps(self):
+    def test_missing_shard_merges_present_rows_and_reports_gaps(self,
+                                                                tmp_path):
         from repro.explore.distrib import replan_document
 
         documents = fake_shard_documents(9, 3)
-        merged = merge_shard_documents([documents[0], documents[2]],
-                                       partial=True)
+        merged = merge_shard_files([documents[0], documents[2]], tmp_path,
+                                   partial=True).document()
         assert merged["row_count"] == 6
         # Present shards in shard order: spans [0, 3) and [6, 9).
         assert [row["estimated_cycles"] for row in merged["rows"]] == \
@@ -406,9 +438,10 @@ class TestPartialMerge:
         assert replan["fingerprint"] == block["fingerprint"]
         assert replan["kind"] == "replan"
 
-    def test_partial_merge_of_single_shard(self):
+    def test_partial_merge_of_single_shard(self, tmp_path):
         documents = fake_shard_documents(10, 4)
-        merged = merge_shard_documents([documents[3]], partial=True)
+        merged = merge_shard_files([documents[3]], tmp_path,
+                                   partial=True).document()
         assert merged["row_count"] == len(documents[3]["rows"])
         assert [span["index"] for span in merged["partial"]["missing"]] == \
             [0, 1, 2]
@@ -418,9 +451,9 @@ class TestPartialMerge:
         tampered = dict(documents[1])
         tampered["shard"] = dict(tampered["shard"], fingerprint="0" * 64)
         with pytest.raises(MergeError, match="fingerprints disagree"):
-            merge_shard_documents([documents[0], tampered], partial=True)
+            plan_merge([documents[0], tampered], partial=True)
         with pytest.raises(MergeError, match="overlapping shards"):
-            merge_shard_documents([documents[0], documents[0]], partial=True)
+            plan_merge([documents[0], documents[0]], partial=True)
 
     def test_partial_merge_rejects_doctored_spans(self):
         # Span tampering is caught against the canonical i*M/N formula even
@@ -431,20 +464,21 @@ class TestPartialMerge:
         tampered["rows"] = [documents[2]["rows"][0]] + documents[2]["rows"]
         tampered["row_count"] = 3
         with pytest.raises(MergeError, match="shard spans"):
-            merge_shard_documents([documents[0], tampered], partial=True)
+            plan_merge([documents[0], tampered], partial=True)
 
     def test_partial_merge_rejects_out_of_range_indexes(self):
         documents = fake_shard_documents(8, 4)
         tampered = dict(documents[0])
         tampered["shard"] = dict(tampered["shard"], index=7)
         with pytest.raises(MergeError, match="exceed"):
-            merge_shard_documents([tampered], partial=True)
+            plan_merge([tampered], partial=True)
 
-    def test_replan_of_a_complete_merge_is_an_error(self):
+    def test_replan_of_a_complete_merge_is_an_error(self, tmp_path):
         from repro.explore.distrib import replan_document
 
         documents = fake_shard_documents(6, 2)
-        merged = merge_shard_documents(documents, partial=True)
+        merged = merge_shard_files(documents, tmp_path,
+                                   partial=True).document()
         assert "partial" not in merged
         with pytest.raises(ValueError, match="no gaps"):
             replan_document(merged)
@@ -452,28 +486,32 @@ class TestPartialMerge:
     def test_regular_merge_still_rejects_missing_shards(self):
         documents = fake_shard_documents(6, 3)
         with pytest.raises(MergeError, match="missing shard index"):
-            merge_shard_documents([documents[0], documents[2]])
+            plan_merge([documents[0], documents[2]])
 
-    def test_rerunning_the_gap_completes_the_merge(self):
+    def test_rerunning_the_gap_completes_the_merge(self, tmp_path):
         # The re-plan worklist names exactly the shards whose rerun makes
         # the set complete — the partial-merge workflow end to end.
         campaign = small_campaign()
         shards = plan_shards(campaign, 3)
         documents = [json.loads(json.dumps(run_shard(s).as_document()))
                      for s in (shards[0], shards[2])]
-        merged = merge_shard_documents(documents, partial=True)
+        merged = merge_shard_files(documents, tmp_path,
+                                   partial=True).document()
         missing = merged["partial"]["missing"]
         assert [span["index"] for span in missing] == [1]
         rerun = json.loads(json.dumps(
             run_shard(shards[missing[0]["index"]]).as_document()))
-        complete = merge_shard_documents(documents + [rerun], partial=True)
-        mono = campaign.run().as_document(deterministic=True)
-        assert json.dumps(complete) == json.dumps(mono)
+        complete = merge_shard_files(documents + [rerun], tmp_path,
+                                     partial=True)
+        write_document_json(complete, tmp_path / "complete.json")
+        campaign.run().write_json(tmp_path / "mono.json", deterministic=True)
+        assert (tmp_path / "complete.json").read_bytes() == \
+            (tmp_path / "mono.json").read_bytes()
 
 
 class TestMergePlanning:
-    """plan_merge: the header-level validation pass behind both the
-    in-memory merge and the streaming store merge."""
+    """plan_merge: the header-level validation pass behind the streaming
+    store merge."""
 
     def test_every_duplicate_index_is_listed_once(self):
         # Regression: duplicate detection was an O(n^2) per-element
@@ -483,9 +521,9 @@ class TestMergePlanning:
         with pytest.raises(MergeError,
                            match=r"index\(es\) \[0, 2\] supplied more than "
                                  r"once"):
-            merge_shard_documents([documents[0], documents[0], documents[1],
-                                   documents[2], documents[2], documents[2],
-                                   documents[3]])
+            plan_merge([documents[0], documents[0], documents[1],
+                        documents[2], documents[2], documents[2],
+                        documents[3]])
 
     def test_plan_validates_rowless_headers(self):
         from repro.explore.distrib import plan_merge
@@ -499,10 +537,10 @@ class TestMergePlanning:
         assert plan.row_count == 6
         assert [headers[position]["shard"]["index"]
                 for position in plan.order] == [0, 1, 2]
-        # The plan's header is exactly the merged document minus its rows.
-        merged = merge_shard_documents(documents)
-        expected = {key: value for key, value in merged.items()
-                    if key not in ("row_count", "rows")}
+        # The plan's header is exactly the monolithic deterministic
+        # document minus its rows.
+        expected = {"schema_version": SCHEMA_VERSION,
+                    "columns": result_columns(deterministic=True)}
         assert plan.header() == expected
         assert list(plan.header()) == list(expected)
 

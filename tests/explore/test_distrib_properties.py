@@ -4,10 +4,11 @@ All pure data — outcomes are constructed, never simulated — so the propertie
 range over far more job-list shapes and shard counts than the differential
 tests can afford:
 
-* serialize → merge → load round-trips preserve every result column and the
+* serialize → merge → load round-trips (shard files streamed through the
+  columnar store, the only merge path) preserve every result column and the
   monolithic row order for arbitrary shard counts (even and uneven);
-* the merger rejects mismatched schema versions and overlapping shard sets
-  with clear errors instead of silently recombining.
+* the merge planner rejects mismatched schema versions and overlapping
+  shard sets with clear errors instead of silently recombining.
 """
 
 import json
@@ -28,12 +29,12 @@ from repro.explore.distrib import (
     DISTRIB_SCHEMA_VERSION,
     MergeError,
     ShardRun,
-    merge_shard_documents,
+    plan_merge,
     plan_shards,
-    write_merged_csv,
-    write_merged_json,
 )
 from repro.explore.scenarios import ScenarioSpec
+from repro.explore.store import write_document_csv, write_document_json
+from tests.explore.conftest import merge_shard_files
 
 #: Columns present in deterministic artifacts (the merge unit).
 DETERMINISTIC_COLUMNS = tuple(result_columns(deterministic=True))
@@ -98,10 +99,13 @@ def jobs_and_shard_count(draw):
 
 class TestMergeRoundTripProperties:
     @settings(max_examples=60, deadline=None)
-    @given(jobs_and_shard_count())
-    def test_merge_round_trips_rows_columns_and_order(self, jobs_count):
+    @given(jobs_count=jobs_and_shard_count())
+    def test_merge_round_trips_rows_columns_and_order(self, tmp_path_factory,
+                                                      jobs_count):
         jobs, count = jobs_count
-        merged = merge_shard_documents(shard_documents(jobs, count))
+        merged = merge_shard_files(shard_documents(jobs, count),
+                                   tmp_path_factory.mktemp("merged")
+                                   ).document()
         expected = monolithic_document(jobs)
         # Identical to the single-host document: columns, count, row order.
         assert merged == expected
@@ -118,34 +122,47 @@ class TestMergeRoundTripProperties:
     @given(jobs_count=jobs_and_shard_count())
     def test_merge_survives_file_round_trip(self, tmp_path_factory, jobs_count):
         jobs, count = jobs_count
-        merged = merge_shard_documents(shard_documents(jobs, count))
         directory = tmp_path_factory.mktemp("merged")
+        store = merge_shard_files(shard_documents(jobs, count), directory)
         json_path = directory / "merged.json"
         csv_path = directory / "merged.csv"
-        write_merged_json(merged, json_path)
-        write_merged_csv(merged, csv_path)
-        assert json.loads(json_path.read_text()) == merged
+        write_document_json(store, json_path)
+        write_document_csv(store, csv_path)
+        assert json.loads(json_path.read_text()) == monolithic_document(jobs)
         header = csv_path.read_text().splitlines()[0]
         assert header.split(",") == list(DETERMINISTIC_COLUMNS)
+        # Byte for byte the monolithic single-host artifacts.
+        run = CampaignRun(outcomes=[build_outcome(job, index)
+                                    for index, job in enumerate(jobs)])
+        run.write_json(directory / "mono.json", deterministic=True)
+        run.write_csv(directory / "mono.csv", deterministic=True)
+        assert json_path.read_bytes() == (directory / "mono.json").read_bytes()
+        assert csv_path.read_bytes() == (directory / "mono.csv").read_bytes()
 
     @settings(max_examples=30, deadline=None)
-    @given(jobs_and_shard_count())
-    def test_rows_reconstruct_outcomes(self, jobs_count):
+    @given(jobs_count=jobs_and_shard_count())
+    def test_rows_reconstruct_outcomes(self, tmp_path_factory, jobs_count):
         # outcome_from_row is the resume path's inverse of as_row: metrics
         # survive the artifact round trip for arbitrary fake outcomes.
         jobs, count = jobs_count
-        merged = merge_shard_documents(shard_documents(jobs, count))
+        merged = merge_shard_files(shard_documents(jobs, count),
+                                   tmp_path_factory.mktemp("merged")
+                                   ).document()
         for index, (job, row) in enumerate(zip(jobs, merged["rows"])):
             rebuilt = outcome_from_row(row, job.spec)
             assert rebuilt.deterministic_row() == row
 
     @settings(max_examples=30, deadline=None)
-    @given(jobs_and_shard_count(), st.randoms(use_true_random=False))
-    def test_merge_accepts_any_supply_order(self, jobs_count, rng):
+    @given(jobs_count=jobs_and_shard_count(),
+           rng=st.randoms(use_true_random=False))
+    def test_merge_accepts_any_supply_order(self, tmp_path_factory,
+                                            jobs_count, rng):
         jobs, count = jobs_count
         documents = shard_documents(jobs, count)
         rng.shuffle(documents)
-        assert merge_shard_documents(documents) == monolithic_document(jobs)
+        merged = merge_shard_files(documents,
+                                   tmp_path_factory.mktemp("merged"))
+        assert merged.document() == monolithic_document(jobs)
 
 
 class TestMergeRejectionProperties:
@@ -160,7 +177,7 @@ class TestMergeRejectionProperties:
                     else DISTRIB_SCHEMA_VERSION)
         documents[-1][key] = expected + delta if delta else None
         with pytest.raises(MergeError, match=key):
-            merge_shard_documents(documents)
+            plan_merge(documents)
 
     @settings(max_examples=40, deadline=None)
     @given(jobs_and_shard_count(), st.data())
@@ -170,7 +187,7 @@ class TestMergeRejectionProperties:
         duplicated = data.draw(st.integers(min_value=0, max_value=count - 1))
         documents.append(json.loads(json.dumps(documents[duplicated])))
         with pytest.raises(MergeError, match="overlapping"):
-            merge_shard_documents(documents)
+            plan_merge(documents)
 
     @settings(max_examples=40, deadline=None)
     @given(jobs_and_shard_count(), st.data())
@@ -184,7 +201,7 @@ class TestMergeRejectionProperties:
         dropped = data.draw(st.integers(min_value=0, max_value=count - 1))
         del documents[dropped]
         with pytest.raises(MergeError, match="missing shard|no shard artifacts"):
-            merge_shard_documents(documents)
+            plan_merge(documents)
 
     @settings(max_examples=40, deadline=None)
     @given(jobs_and_shard_count())
@@ -200,4 +217,4 @@ class TestMergeRejectionProperties:
         else:
             documents.append(foreign)  # overlap/count/fingerprint disagree
         with pytest.raises(MergeError):
-            merge_shard_documents(documents)
+            plan_merge(documents)

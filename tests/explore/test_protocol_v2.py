@@ -26,7 +26,9 @@ import json
 import socket
 import struct
 import threading
+import zlib
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
@@ -231,6 +233,23 @@ class TestShardBlockCodec:
                     "rows": [{"worker": value}]}
         with pytest.raises(StoreError, match="'worker' is declared int"):
             encode_shard_block(document)
+
+    @pytest.mark.parametrize("array", [
+        np.array(["x"]), np.array([1.5]), np.array(7), np.array([[1]])])
+    def test_column_of_a_foreign_dtype_or_shape_is_refused(self, array):
+        # A hand-made block whose int column is not a 1-D int array used to
+        # decode fine and fail (or truncate 1.5 to 1) only when a drain
+        # appended it — after the span was accepted; a 0-d array escaped
+        # as TypeError.
+        header = json.dumps({"columns": ["worker"], "row_count": 1}).encode()
+        column = io.BytesIO()
+        np.lib.format.write_array(column, array, allow_pickle=False)
+        body = header + struct.pack(">I", len(column.getvalue())) + \
+            column.getvalue()
+        payload = b"RSB1" + struct.pack(">II", len(header),
+                                        zlib.crc32(body)) + body
+        with pytest.raises(StoreError, match="'worker' is a"):
+            decode_shard_block(payload)
 
     def test_defects_are_named(self):
         document = scripted_executor(plan_shards(fake_jobs(4), 2)[0])

@@ -3,9 +3,9 @@ merge and the bitwise-identity contract of the streaming artifact writers.
 
 The load-bearing property throughout: everything a store regenerates
 (``write_document_json`` / ``write_document_csv``) must be *byte for byte*
-identical to what the dict-of-lists writers produce for the same rows —
-that is what lets ``merge --store`` artifacts interoperate with every
-existing consumer.
+identical to what the campaign artifact writers produce for the same rows —
+that is what lets merged artifacts interoperate with every existing
+consumer.
 """
 
 import json
@@ -19,25 +19,25 @@ from repro.explore.campaign import (
     SCHEMA_VERSION,
     campaign_from_axes,
     result_columns,
+    write_csv_artifact,
+    write_json_artifact,
 )
 from repro.explore.distrib import (
     MergeError,
     ShardRun,
-    merge_shard_documents,
+    plan_merge,
     plan_shards,
     run_shard,
-    write_merged_csv,
-    write_merged_json,
 )
 from repro.explore.report import format_store_summary, summarize_store
 from repro.explore.scenarios import ScenarioSpec
+from tests.explore.conftest import merge_shard_files
 from repro.explore.store import (
     DEFAULT_CHUNK_ROWS,
     STORE_SCHEMA_VERSION,
     ColumnarStore,
     StoreError,
     merge_artifacts_to_store,
-    merge_documents_to_store,
     store_campaign_run,
     store_shard_run,
     write_document_csv,
@@ -58,31 +58,43 @@ def small_campaign(**axes) -> Campaign:
         axes, base=ScenarioSpec(name="base", patterns_per_core=16, seed=3))
 
 
-def fake_shard_documents(job_count: int, shard_count: int):
-    """Shard artifacts over constructed (never simulated) outcomes,
-    JSON-round-tripped like files — mirrors test_distrib's helper."""
-    jobs = [
+def fake_jobs(job_count: int):
+    return [
         CampaignJob(spec=ScenarioSpec(name=f"s{index:02d}", core_count=1,
                                       patterns_per_core=8, seed=index + 1),
                     schedule="sequential")
         for index in range(job_count)
     ]
+
+
+def fake_outcome(job: CampaignJob, value: int) -> CampaignOutcome:
+    return CampaignOutcome(
+        spec=job.spec, schedule=job.schedule, phase_count=1, task_count=1,
+        estimated_cycles=value, test_length_cycles=value * 10,
+        peak_tam_utilization=0.5, avg_tam_utilization=0.25,
+        peak_power=2.0, avg_power=1.0, simulated_activations=value * 3)
+
+
+def fake_shard_documents(job_count: int, shard_count: int):
+    """Shard artifacts over constructed (never simulated) outcomes,
+    JSON-round-tripped like files — mirrors test_distrib's helper."""
     documents = []
-    for shard in plan_shards(jobs, shard_count):
-        outcomes = [
-            CampaignOutcome(
-                spec=job.spec, schedule=job.schedule, phase_count=1,
-                task_count=1, estimated_cycles=shard.start + offset,
-                test_length_cycles=(shard.start + offset) * 10,
-                peak_tam_utilization=0.5, avg_tam_utilization=0.25,
-                peak_power=2.0, avg_power=1.0,
-                simulated_activations=(shard.start + offset) * 3)
-            for offset, job in enumerate(shard.jobs)
-        ]
+    for shard in plan_shards(fake_jobs(job_count), shard_count):
+        outcomes = [fake_outcome(job, shard.start + offset)
+                    for offset, job in enumerate(shard.jobs)]
         documents.append(json.loads(json.dumps(
             ShardRun(shard=shard, run=CampaignRun(outcomes=outcomes))
             .as_document())))
     return documents
+
+
+def write_monolithic(job_count: int, directory) -> None:
+    """``mono.json``/``mono.csv``: the single-host artifacts of the same
+    fake outcomes :func:`fake_shard_documents` shards."""
+    run = CampaignRun(outcomes=[fake_outcome(job, index) for index, job
+                                in enumerate(fake_jobs(job_count))])
+    run.write_json(directory / "mono.json", deterministic=True)
+    run.write_csv(directory / "mono.csv", deterministic=True)
 
 
 #: A small typed schema exercising every declared column kind: str
@@ -323,15 +335,26 @@ class TestStreamingMerge:
         paths = []
         for document in documents:
             path = tmp_path / f"shard{document['shard']['index']}.json"
-            path.write_text(json.dumps(document, indent=2) + "\n")
+            write_json_artifact(document, path)
             paths.append(path)
         return documents, paths
 
+    @staticmethod
+    def write_dict_merge(documents, partial, directory):
+        """The reference: the merged document assembled in memory from the
+        shard dicts (plan header + concatenated rows in shard order),
+        through the one JSON and CSV artifact writers."""
+        plan = plan_merge(documents, partial=partial)
+        rows = [row for position in plan.order
+                for row in documents[position]["rows"]]
+        merged = plan.header()
+        merged.update(row_count=len(rows), rows=rows)
+        write_json_artifact(merged, directory / "dict.json")
+        write_csv_artifact(plan.columns, rows, directory / "dict.csv")
+
     def test_merge_artifacts_matches_dict_merge_bitwise(self, tmp_path):
         documents, paths = self.write_shards(tmp_path)
-        merged = merge_shard_documents(documents)
-        write_merged_json(merged, tmp_path / "dict.json")
-        write_merged_csv(merged, tmp_path / "dict.csv")
+        self.write_dict_merge(documents, False, tmp_path)
 
         store, headers = merge_artifacts_to_store(
             paths, tmp_path / "merged.store", chunk_rows=4)
@@ -348,26 +371,16 @@ class TestStreamingMerge:
         assert store.metadata["kind"] == "merged-campaign"
         assert store.metadata["shard_count"] == 3
 
-    def test_merge_documents_matches_merge_artifacts(self, tmp_path):
-        documents, paths = self.write_shards(tmp_path)
-        from_memory = merge_documents_to_store(
-            documents, tmp_path / "mem.store")
-        from_disk, _ = merge_artifacts_to_store(
-            paths, tmp_path / "disk.store")
-        assert ColumnarStore.open(from_memory.path).rows() \
-            == ColumnarStore.open(from_disk.path).rows()
-
     def test_merge_accepts_unordered_paths(self, tmp_path):
         documents, paths = self.write_shards(tmp_path)
-        merged = merge_shard_documents(documents)
         store, _ = merge_artifacts_to_store(
             list(reversed(paths)), tmp_path / "merged.store")
-        assert ColumnarStore.open(store.path).rows() == merged["rows"]
+        assert ColumnarStore.open(store.path).rows() == \
+            [row for document in documents for row in document["rows"]]
 
     def test_partial_merge_matches_dict_merge_bitwise(self, tmp_path):
         documents, paths = self.write_shards(tmp_path)
-        merged = merge_shard_documents(documents[:2], partial=True)
-        write_merged_json(merged, tmp_path / "dict.json")
+        self.write_dict_merge(documents[:2], True, tmp_path)
 
         store, _ = merge_artifacts_to_store(
             paths[:2], tmp_path / "merged.store", partial=True)
@@ -375,6 +388,21 @@ class TestStreamingMerge:
         assert (tmp_path / "store.json").read_bytes() \
             == (tmp_path / "dict.json").read_bytes()
         assert store.metadata["missing"] == [2]
+
+    @pytest.mark.parametrize("defect", ["missing-column", "foreign-kind",
+                                        "non-object-row"])
+    def test_malformed_rows_rejected_as_merge_error(self, tmp_path, defect):
+        documents, paths = self.write_shards(tmp_path)
+        row = documents[1]["rows"][0]
+        if defect == "missing-column":
+            del row["peak_power"]
+        elif defect == "foreign-kind":
+            row["test_length_cycles"] = "x"
+        else:
+            documents[1]["rows"][0] = [1, 2]
+        write_json_artifact(documents[1], paths[1])
+        with pytest.raises(MergeError, match=str(paths[1])):
+            merge_artifacts_to_store(paths, tmp_path / "merged.store")
 
     def test_merge_rejects_bad_shard_sets_before_writing(self, tmp_path):
         documents, paths = self.write_shards(tmp_path)
@@ -391,14 +419,12 @@ class TestStreamingMerge:
 @pytest.mark.slow
 def test_large_streaming_merge_is_bitwise_identical(tmp_path):
     """The at-scale differential: tens of thousands of fake rows through the
-    streaming merge regenerate the dict-path JSON byte for byte."""
-    documents = fake_shard_documents(20_000, 7)
-    merged = merge_shard_documents(documents)
-    write_merged_json(merged, tmp_path / "dict.json")
-    store = merge_documents_to_store(documents, tmp_path / "merged.store")
+    streaming merge regenerate the monolithic JSON byte for byte."""
+    write_monolithic(20_000, tmp_path)
+    store = merge_shard_files(fake_shard_documents(20_000, 7), tmp_path)
     write_document_json(store, tmp_path / "store.json")
     assert (tmp_path / "store.json").read_bytes() \
-        == (tmp_path / "dict.json").read_bytes()
+        == (tmp_path / "mono.json").read_bytes()
 
 
 # -- store analytics ----------------------------------------------------------

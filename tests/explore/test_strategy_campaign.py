@@ -17,13 +17,15 @@ from repro.explore.campaign import (
     clear_scenario_cache,
     execute_job,
 )
-from repro.explore.distrib import merge_shard_documents, plan_shards, run_shard
+from repro.explore.distrib import plan_shards, run_shard
 from repro.explore.scenarios import (
     ScenarioSpec,
     build_scenario,
     spec_from_dict,
     spec_to_dict,
 )
+from repro.explore.store import write_document_json
+from tests.explore.conftest import merge_shard_files
 
 #: The strategy mix exercised end to end (canonical forms).
 STRATEGIES = ("sequential", "greedy", "binpack", "binpack:fit=worst",
@@ -158,13 +160,15 @@ class TestSchemaV4Artifacts:
 
 
 class TestStrategiesThroughShardsAndAdaptive:
-    def test_shard_merge_bitwise_with_strategies(self):
+    def test_shard_merge_bitwise_with_strategies(self, tmp_path):
         campaign = Campaign([strategy_spec("a"), strategy_spec("b", seed=9)])
         documents = [run_shard(shard).as_document()
                      for shard in plan_shards(campaign, 3)]
-        merged = merge_shard_documents(documents)
-        mono = campaign.run().as_document(deterministic=True)
-        assert json.dumps(merged) == json.dumps(mono)
+        write_document_json(merge_shard_files(documents, tmp_path),
+                            tmp_path / "merged.json")
+        campaign.run().write_json(tmp_path / "mono.json", deterministic=True)
+        assert (tmp_path / "merged.json").read_bytes() == \
+            (tmp_path / "mono.json").read_bytes()
 
     def test_adaptive_selects_over_strategy_schedules(self):
         grid_specs = [strategy_spec(f"s{i}", seed=3 + i,

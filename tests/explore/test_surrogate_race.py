@@ -216,10 +216,6 @@ class TestRaceJobs:
 
 # -- parameter validation -----------------------------------------------------
 class TestValidation:
-    def test_race_excludes_round_sharding(self):
-        with pytest.raises(ValueError, match="round"):
-            small_search(race=True).run(round_shards=2)
-
     def test_race_excludes_worker_pools(self):
         with pytest.raises(ValueError, match="worker"):
             small_search(race=True).run(workers=2)
